@@ -69,10 +69,6 @@ class DephasingChannel:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def conjugated(self, unitary: np.ndarray) -> "DephasingChannel":
-        """Same timescale, pointer frame rotated by ``unitary``."""
-        return DephasingChannel(np.asarray(unitary, dtype=complex) @ self.basis, self.t_d)
-
 
 def channel_from_spec(spec, t_d: float, num_qubits: int) -> DephasingChannel:
     """Build a channel from its experiment-config form.

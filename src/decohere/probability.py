@@ -180,18 +180,12 @@ def _as_density(state: Union[PureState, DensityMatrix]) -> DensityMatrix:
 
 
 def _union_and_intersection(b: Projector, c: Projector) -> tuple[Projector, Projector]:
-    """Span and intersection projectors of two subspaces.
+    """Span and intersection projectors of two noncommuting subspaces.
 
-    Commuting projectors admit the exact algebraic forms b + c - bc and
-    bc; otherwise both are read off the spectrum of b + c (eigenvalue > 0
-    spans the union, eigenvalue 2 marks the intersection).
+    Both are read off the spectrum of b + c (eigenvalue > 0 spans the
+    union, eigenvalue 2 marks the intersection).
     """
     bm, cm = b.elements, c.elements
-    comm = float(np.max(np.abs(bm @ cm - cm @ bm)))
-    if comm <= COMMUTATOR_TOL:
-        meet = bm @ cm
-        join = bm + cm - meet
-        return Projector.from_matrix(join), Projector.from_matrix(meet)
     eigvals, eigvecs = np.linalg.eigh(bm + cm)
     join_basis = eigvecs[:, eigvals > RANK_TOL]
     meet_basis = eigvecs[:, eigvals > 2.0 - RANK_TOL]
@@ -218,13 +212,11 @@ def sum_rule_violation(
         raise ValueError("projector dimensions must match the state")
     bm, cm, rm = b.elements, c.elements, rho.elements
     bc = bm @ cm
-    if float(np.max(np.abs(bc - cm @ bm))) <= COMMUTATOR_TOL:
-        join = bm + cm - bc
-        mu_join = np.einsum("ij,ji->", join, rm).real
-        mu_b = np.einsum("ij,ji->", bm, rm).real
-        mu_c = np.einsum("ij,ji->", cm, rm).real
-        mu_meet = np.einsum("ij,ji->", bc, rm).real
-        return abs(float(mu_join - mu_b - mu_c + mu_meet))
+    # For Hermitian projectors cb = (bc)^H, so one product tests commutation.
+    if float(np.abs(bc - bc.conj().T).max()) <= COMMUTATOR_TOL:
+        # join - b - c + meet is one matrix; for Hermitian rho,
+        # Tr(A rho) = vdot(rho, A), so one trace gives the whole sum.
+        return abs(float(np.vdot(rm, (bm + cm - bc) - bm - cm + bc).real))
     join_p, meet_p = _union_and_intersection(b, c)
     mu_join = born_probability(rho, join_p)
     mu_meet = born_probability(rho, meet_p) if meet_p.rank else 0.0

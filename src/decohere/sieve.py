@@ -1,10 +1,26 @@
 """Predictability sieve: entropy trajectories, horizons, candidate ranking.
 
-Evolution uses first-order operator splitting per grid interval: an exact
-unitary step exp(-iH dt) from the spectral decomposition of the optional
-self-Hamiltonian, followed by an exact dephasing step for the same dt.
+States are evolved in the pointer frame X = W^H rho W of the channel, where
+dephasing only damps off-diagonal entries, and candidates are evaluated
+together in blocks of ``BLOCK_SIZE``.  One helper serves a single state
+(``evolve_entropy``) and a block of candidates (``sieve_rank``).
+
 With no self-Hamiltonian the channel semigroup is evaluated in closed form
-at every grid time.
+at every grid time: the purity is
+sum_i |x_ii|^2 + exp(-2t/t_d) sum_{i!=j} |x_ij|^2, one outer product of
+per-candidate sums with the sample times.  With a self-Hamiltonian H,
+evolution uses first-order operator splitting per grid interval: the exact
+unitary V = W^H exp(-iH dt) W followed by the exact dephasing mask D for the
+same dt, X' = D o (V X V^H).  That step is a fixed linear map, built once
+per distinct dt as a d^2 x d^2 superoperator, and the block advances by one
+(B, d^2) x (d^2, d^2) product per grid interval, recording the purity at
+each step.
+
+Entropies come from the spectrum of each sampled state.  A qubit's spectrum
+follows from its purity alone: lambda+ = (1 + sqrt(2P - 1)) / 2 and
+lambda- = det / lambda+ with det = (1 - P) / 2, which avoids the
+cancellation in (1 - sqrt(2P - 1)) / 2.  Larger registers take ``eigvalsh``
+once per block.
 
 Two horizons are computed from a trajectory by trapezoid quadrature:
 
@@ -31,15 +47,20 @@ import numpy as np
 from .dephasing import DephasingChannel
 from .states import (
     DensityMatrix,
+    EIGENVALUE_FLOOR,
     HERMITICITY_TOL,
+    SPECTRUM_CUTOFF,
     PureState,
-    _entropy_bits,
     _readonly,
 )
 
 DEGENERATE_GAP = 1e-9
 ENTROPY_CAP_THRESHOLD = 0.5
 PURITY_CAP_THRESHOLD = 1e-3
+# Candidates evolved together by sieve_rank.  A fixed block keeps the
+# working set of (B, T) arrays, and so the peak memory, independent of the
+# number of candidates.
+BLOCK_SIZE = 16
 
 
 def uniform_grid(t_end: float, steps: int) -> np.ndarray:
@@ -106,8 +127,7 @@ class EntropyTrajectory:
         pur = _readonly(np.asarray(self.purities, dtype=float), dtype=float)
         if not (times.size == ent.size == pur.size):
             raise ValueError("trajectory arrays must have equal length")
-        if np.any(ent < -1e-9) or np.any(ent > self.num_qubits + 1e-9):
-            raise ValueError("entropy values outside [0, num_qubits]")
+        _check_entropy_range(ent, self.num_qubits)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "entropies", ent)
         object.__setattr__(self, "purities", pur)
@@ -125,15 +145,120 @@ class Horizon:
     capped: bool
 
 
-def _entropies_from_stack(stack: np.ndarray) -> np.ndarray:
-    eigs = np.linalg.eigvalsh(stack)
-    low = float(eigs.min())
-    if low < -1e-8:
+def _check_entropy_range(entropies: np.ndarray, num_qubits: int) -> None:
+    if np.any(entropies < -1e-9) or np.any(entropies > num_qubits + 1e-9):
+        raise ValueError("entropy values outside [0, num_qubits]")
+
+
+def _entropies_from_spectra(spectra: Sequence[np.ndarray]) -> np.ndarray:
+    """Entropies in bits from a spectrum given as one array per eigenvalue.
+
+    Weights at or below 1e-12 are ignored; an eigenvalue below -1e-8 means
+    the evolution lost positivity and raises.
+    """
+    low = min(float(eigs.min()) for eigs in spectra)
+    if low < EIGENVALUE_FLOOR:
         raise ValueError(f"evolved state lost positivity: eigenvalue {low!r}")
-    safe = np.where(eigs > 1e-12, eigs, 1.0)
-    return np.maximum(
-        -np.sum(np.where(eigs > 1e-12, eigs * np.log2(safe), 0.0), axis=-1), 0.0
-    )
+    total = np.zeros(spectra[0].shape)
+    for eigs in spectra:
+        terms = np.where(eigs > SPECTRUM_CUTOFF, eigs, 1.0)
+        np.log2(terms, out=terms)
+        terms *= eigs
+        total -= terms
+    return np.maximum(total, 0.0, out=total)
+
+
+def _qubit_spectra(purities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (lambda-, lambda+) of 2x2 density matrices from their purities."""
+    upper = np.sqrt(np.maximum(2.0 * purities - 1.0, 0.0))
+    upper += 1.0
+    upper *= 0.5
+    lower = 1.0 - purities
+    lower *= 0.5
+    lower /= upper
+    return lower, upper
+
+
+def _pointer_frames(states: Sequence[PureState], basis: np.ndarray) -> np.ndarray:
+    """Pointer-frame density matrices |c><c|, c = W^H psi, of a block, (B, d, d)."""
+    if any(psi.dim != basis.shape[0] for psi in states):
+        raise ValueError("dynamics dimension does not match state")
+    coeffs = np.array([psi.amplitudes for psi in states]) @ basis.conj()
+    return coeffs[:, :, None] * coeffs[:, None, :].conj()
+
+
+def _split_step(
+    frames: np.ndarray, dynamics: DynamicsSpec, times: np.ndarray
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Purities (B, T) and, for d > 2, pointer-frame states (B, T, d, d).
+
+    Each interval applies V = W^H exp(-iH dt) W and then the dephasing mask
+    D, X' = D o (V X V^H).  On row-major vec(X) that is the fixed matrix
+    diag(vec D) kron(V, conj V); its transpose S advances the whole block as
+    (B, d^2) @ S.  S is built once per distinct dt, because the recorded
+    times can end on a shorter interval.  A qubit's spectrum needs only its
+    purity, so qubit states are not kept: that record would be the largest
+    allocation of the sieve.
+    """
+    b, d, _ = frames.shape
+    evals, vecs = np.linalg.eigh(dynamics.self_hamiltonian)
+    vecs = dynamics.channel.basis.conj().T @ vecs
+    off_diag = 1.0 - np.eye(d)
+    steps: dict[float, np.ndarray] = {}
+    purities = np.empty((b, times.size))
+    states = np.empty((b, times.size, d, d), dtype=complex) if d > 2 else None
+    x = frames.reshape(b, d * d)
+    for i, dt in enumerate([0.0] + np.diff(times).tolist()):
+        if i:
+            step = steps.get(dt)
+            if step is None:
+                v = (vecs * np.exp(-1j * evals * dt)) @ vecs.conj().T
+                damp = (math.exp(-dt / dynamics.channel.t_d) * off_diag + np.eye(d)).reshape(-1)
+                step = steps[dt] = (damp[:, None] * np.kron(v, v.conj())).T
+            x = x @ step
+        flat = x.view(float)  # |x|^2 summed as re^2 + im^2
+        np.vecdot(flat, flat, out=purities[:, i])
+        if states is not None:
+            states[:, i] = x.reshape(b, d, d)
+    return purities, states
+
+
+def _evolve_block(
+    frames: np.ndarray, dynamics: DynamicsSpec, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Purities (B, T), entropies (B, T) and equilibrium entropies (B,).
+
+    ``frames`` holds B pointer-frame density matrices (B, d, d), recorded
+    at ``times``.  The equilibrium entropy is that of the decohered limit,
+    the pointer-frame diagonal, or of the state at the last recorded time
+    when a self-Hamiltonian keeps rotating the register.
+    """
+    d = frames.shape[1]
+    t_d = dynamics.channel.t_d
+    off_diag = 1.0 - np.eye(d)
+    if dynamics.self_hamiltonian is None:
+        populations = np.diagonal(frames, axis1=1, axis2=2).real
+        coherence = np.sum(np.abs(frames) ** 2 * off_diag, axis=(1, 2))
+        purities = (
+            np.sum(populations**2, axis=1)[:, None]
+            + coherence[:, None] * np.exp(-2.0 * times / t_d)
+        )
+        equilibrium = _entropies_from_spectra(populations.T)
+        states = None
+        if d > 2:
+            states = frames[:, None] * (np.exp(-times / t_d)[:, None, None] * off_diag + np.eye(d))
+    else:
+        purities, states = _split_step(frames, dynamics, times)
+        equilibrium = None
+    if d == 2:
+        spectra = _qubit_spectra(purities)
+    else:
+        spectra = np.moveaxis(np.linalg.eigvalsh(states), -1, 0)
+    entropies = _entropies_from_spectra(spectra)
+    _check_entropy_range(entropies, d.bit_length() - 1)
+    if equilibrium is None:
+        equilibrium = entropies[:, -1]
+    return purities, entropies, equilibrium
 
 
 def evolve_entropy(
@@ -146,56 +271,44 @@ def evolve_entropy(
     from the decohered limit of the end state, or from the cap-time state
     itself when a self-Hamiltonian keeps rotating the register.
     """
-    rho = state.to_density_matrix() if isinstance(state, PureState) else state
-    if dynamics.channel.dim != rho.dim:
+    basis = dynamics.channel.basis
+    if isinstance(state, PureState):
+        frames = _pointer_frames([state], basis)
+    elif state.dim != basis.shape[0]:
         raise ValueError("dynamics dimension does not match state")
+    else:
+        frames = (basis.conj().T @ state.elements @ basis)[None]
     times = dynamics.recorded_times()
-    w = dynamics.channel.basis
-    t_d = dynamics.channel.t_d
-    n = rho.num_qubits
-    d = rho.dim
-    off_diag = 1.0 - np.eye(d)
-
-    if dynamics.self_hamiltonian is None:
-        # Closed-form semigroup: damp pointer-frame off-diagonals per time.
-        in_frame = w.conj().T @ rho.elements @ w
-        factors = np.exp(-times[:, None, None] / t_d) * off_diag + np.eye(d)
-        stack = in_frame[None, :, :] * factors
-        eq_diag = in_frame.diagonal().real
-    else:
-        evals, vecs = np.linalg.eigh(dynamics.self_hamiltonian)
-        stack = np.empty((times.size, d, d), dtype=complex)
-        current = rho.elements.copy()
-        stack[0] = w.conj().T @ current @ w
-        step_cache: dict[float, np.ndarray] = {}
-        for i in range(1, times.size):
-            dt = float(times[i] - times[i - 1])
-            u = step_cache.get(dt)
-            if u is None:
-                u = (vecs * np.exp(-1j * evals * dt)) @ vecs.conj().T
-                step_cache[dt] = u
-            current = u @ current @ u.conj().T
-            in_frame = w.conj().T @ current @ w
-            damp = math.exp(-dt / t_d) * off_diag + np.eye(d)
-            in_frame = in_frame * damp
-            current = w @ in_frame @ w.conj().T
-            stack[i] = in_frame
-        eq_diag = None
-
-    entropies = _entropies_from_stack(stack)
-    purities = np.sum(np.abs(stack) ** 2, axis=(1, 2))
-    if eq_diag is not None:
-        equilibrium_entropy = _entropy_bits(eq_diag)
-    else:
-        equilibrium_entropy = float(entropies[-1])
+    purities, entropies, equilibrium = _evolve_block(frames, dynamics, times)
     return EntropyTrajectory(
         times=times,
-        entropies=entropies,
-        purities=purities,
-        equilibrium_entropy=equilibrium_entropy,
-        equilibrium_purity=2.0 ** (-n),
-        num_qubits=n,
+        entropies=entropies[0],
+        purities=purities[0],
+        equilibrium_entropy=float(equilibrium[0]),
+        equilibrium_purity=2.0 ** (-state.num_qubits),
+        num_qubits=state.num_qubits,
     )
+
+
+def _entropy_horizons(
+    times: np.ndarray, entropies: np.ndarray, equilibrium: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy horizons and cap flags along the trailing time axis."""
+    h0 = entropies[..., 0]
+    degenerate = equilibrium <= h0 + DEGENERATE_GAP
+    gap = np.where(degenerate, 1.0, equilibrium - h0)
+    integrand = (equilibrium[..., None] - entropies) / gap[..., None]
+    values = np.where(degenerate, times[-1], np.trapezoid(integrand, times, axis=-1))
+    return values, degenerate | (integrand[..., -1] > ENTROPY_CAP_THRESHOLD)
+
+
+def _purity_horizons(
+    times: np.ndarray, purities: np.ndarray, floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Purity horizons and cap flags along the trailing time axis."""
+    integrand = purities - floor
+    values = np.maximum(np.trapezoid(integrand, times, axis=-1), 0.0)
+    return values, integrand[..., -1] > PURITY_CAP_THRESHOLD
 
 
 def predictability_horizon(trajectory: EntropyTrajectory) -> Horizon:
@@ -205,21 +318,18 @@ def predictability_horizon(trajectory: EntropyTrajectory) -> Horizon:
     above 0.5 at the end of the window returns a capped horizon whose value
     is the window length itself.
     """
-    h_eq = trajectory.equilibrium_entropy
-    h0 = float(trajectory.entropies[0])
-    window = float(trajectory.times[-1])
-    if h_eq <= h0 + DEGENERATE_GAP:
-        return Horizon(window, True)
-    integrand = (h_eq - trajectory.entropies) / (h_eq - h0)
-    value = float(np.trapezoid(integrand, trajectory.times))
-    return Horizon(value, bool(integrand[-1] > ENTROPY_CAP_THRESHOLD))
+    value, capped = _entropy_horizons(
+        trajectory.times, trajectory.entropies, np.asarray(trajectory.equilibrium_entropy)
+    )
+    return Horizon(float(value), bool(capped))
 
 
 def purity_horizon(trajectory: EntropyTrajectory) -> Horizon:
     """Integrated excess purity above the equilibrium floor."""
-    integrand = trajectory.purities - trajectory.equilibrium_purity
-    value = float(np.trapezoid(integrand, trajectory.times))
-    return Horizon(max(value, 0.0), bool(integrand[-1] > PURITY_CAP_THRESHOLD))
+    value, capped = _purity_horizons(
+        trajectory.times, trajectory.purities, trajectory.equilibrium_purity
+    )
+    return Horizon(float(value), bool(capped))
 
 
 @dataclass(frozen=True)
@@ -263,26 +373,37 @@ def sieve_rank(
 
     Ties break by ascending final entropy, then by candidate position, so
     the order is deterministic and independent of evaluation order.
+    Candidates are evolved in blocks of ``BLOCK_SIZE``.
     """
     if not candidates:
         raise ValueError("need at least one candidate state")
+    if not all(isinstance(psi, PureState) for psi in candidates):
+        raise TypeError("sieve candidates must be PureStates")
+    count = len(candidates)
+    for name, values in (("labels", labels), ("angles", angles)):
+        if values is not None and len(values) != count:
+            raise ValueError(f"{name} has {len(values)} entries for {count} candidates")
+    times = dynamics.recorded_times()
+    floor = 1.0 / dynamics.channel.dim
     reports: list[tuple[float, float, int, SieveReport]] = []
-    for idx, psi in enumerate(candidates):
-        traj = evolve_entropy(psi, dynamics)
-        t_p = predictability_horizon(traj)
-        t_pp = purity_horizon(traj)
-        label = labels[idx] if labels is not None else f"candidate-{idx}"
-        theta, phi = (angles[idx] if angles is not None else (None, None))
-        report = SieveReport(
-            label=label,
-            t_p=t_p.value,
-            t_p_capped=t_p.capped,
-            tprime_p=t_pp.value,
-            tprime_capped=t_pp.capped,
-            final_entropy=traj.final_entropy,
-            theta=theta,
-            phi=phi,
-        )
-        reports.append((-t_pp.value, traj.final_entropy, idx, report))
+    for start in range(0, count, BLOCK_SIZE):
+        frames = _pointer_frames(candidates[start : start + BLOCK_SIZE], dynamics.channel.basis)
+        purities, entropies, equilibrium = _evolve_block(frames, dynamics, times)
+        t_p, t_p_capped = _entropy_horizons(times, entropies, equilibrium)
+        t_pp, t_pp_capped = _purity_horizons(times, purities, floor)
+        for k in range(frames.shape[0]):
+            idx = start + k
+            theta, phi = (angles[idx] if angles is not None else (None, None))
+            report = SieveReport(
+                label=labels[idx] if labels is not None else f"candidate-{idx}",
+                t_p=float(t_p[k]),
+                t_p_capped=bool(t_p_capped[k]),
+                tprime_p=float(t_pp[k]),
+                tprime_capped=bool(t_pp_capped[k]),
+                final_entropy=float(entropies[k, -1]),
+                theta=theta,
+                phi=phi,
+            )
+            reports.append((-report.tprime_p, report.final_entropy, idx, report))
     reports.sort(key=lambda item: item[:3])
     return [item[3] for item in reports]

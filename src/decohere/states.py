@@ -170,10 +170,6 @@ class DensityMatrix:
         return cls(mat, _qubits_for_dim(mat.shape[0], "density matrix"))
 
     @classmethod
-    def from_pure(cls, psi: PureState) -> "DensityMatrix":
-        return psi.to_density_matrix()
-
-    @classmethod
     def maximally_mixed(cls, num_qubits: int) -> "DensityMatrix":
         d = 2**num_qubits
         return cls(np.eye(d, dtype=complex) / d, num_qubits)
@@ -233,14 +229,6 @@ class Projector:
                 raise ValueError(f"basis label {k} outside dimension {dim}")
             mat[k, k] = 1.0
         return cls(mat, len(idx))
-
-    @classmethod
-    def onto_span(cls, vectors: Sequence[np.ndarray], tol: float = 1e-10) -> "Projector":
-        """Projector onto the closed span of the given vectors."""
-        cols = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
-        u, s, _ = np.linalg.svd(cols, full_matrices=False)
-        basis = u[:, s > tol * max(1.0, float(s[0]) if s.size else 1.0)]
-        return cls(basis @ basis.conj().T, basis.shape[1])
 
     @classmethod
     def identity(cls, dim: int) -> "Projector":

@@ -221,6 +221,57 @@ def test_sum_rule_exhaustive_commuting_pairs():
                 assert sum_rule_violation(rho, pb, pc) < 1e-12
 
 
+def _four_traces(rm: np.ndarray, bm: np.ndarray, cm: np.ndarray) -> np.ndarray:
+    """Commuting-event sum rule as four separate traces; cm may be a stack."""
+    bc = bm @ cm
+    join = bm + cm - bc
+
+    def mu(a):
+        return np.einsum("...ij,ji->...", a, rm).real
+
+    return np.abs(mu(join) - mu(bm) - mu(cm) + mu(bc))
+
+
+def _spectral_sum_rule(rho: DensityMatrix, b: Projector, c: Projector) -> float:
+    """Noncommuting-event sum rule from the spectrum of b + c."""
+    eigvals, eigvecs = np.linalg.eigh(b.elements + c.elements)
+    join, meet = eigvecs[:, eigvals > 1e-10], eigvecs[:, eigvals > 2.0 - 1e-10]
+    mu_join = float(np.real(np.trace(join @ join.conj().T @ rho.elements)))
+    mu_meet = float(np.real(np.trace(meet @ meet.conj().T @ rho.elements)))
+    return abs(mu_join - born_probability(rho, b) - born_probability(rho, c) + mu_meet)
+
+
+def _random_unitary(d: int) -> np.ndarray:
+    q, r = np.linalg.qr(RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def test_sum_rule_matches_four_trace_formula():
+    rho = random_density(3)
+    events = [
+        Projector.onto_basis_states(8, [k for k in range(8) if s >> k & 1]) for s in range(256)
+    ]
+    stack = np.array([p.elements for p in events])
+    for pb in events:
+        expected = _four_traces(rho.elements, pb.elements, stack)
+        got = np.array([sum_rule_violation(rho, pb, pc) for pc in events])
+        assert np.max(np.abs(got - expected)) <= 1e-12
+    # commuting events in a dense frame
+    u = _random_unitary(8)
+    rotated = [Projector.from_matrix(u @ p.elements @ u.conj().T) for p in events[::17]]
+    for pb in rotated:
+        for pc in rotated:
+            expected = float(_four_traces(rho.elements, pb.elements, pc.elements))
+            assert abs(sum_rule_violation(rho, pb, pc) - expected) <= 1e-12
+    # random noncommuting pairs
+    for _ in range(200):
+        rank_b, rank_c = (int(r) for r in RNG.integers(1, 8, size=2))
+        vb, vc = _random_unitary(8)[:, :rank_b], _random_unitary(8)[:, :rank_c]
+        pb, pc = Projector(vb @ vb.conj().T, rank_b), Projector(vc @ vc.conj().T, rank_c)
+        expected = _spectral_sum_rule(rho, pb, pc)
+        assert abs(sum_rule_violation(rho, pb, pc) - expected) <= 1e-12
+
+
 def test_normalization_rule():
     for _ in range(5):
         rho = random_density(2)
