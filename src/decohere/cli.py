@@ -28,7 +28,13 @@ import numpy as np
 
 from . import __version__
 from .circuits import apply, decoherence_chain, premeasurement
-from .dephasing import DephasingChannel, channel_from_spec, decohered_limit
+from .dephasing import (
+    DephasingChannel,
+    _hadamard_frame,
+    channel_from_spec,
+    decohered_limit,
+    dephase,
+)
 from .probability import (
     ProbabilityVector,
     coarse_grain,
@@ -460,15 +466,13 @@ def _run_records(config: ExperimentConfig) -> ResultArtifact:
     prop_0 = Projector.onto_vector(np.array([1.0, 0.0]))
     times = np.linspace(0.0, 5.0 * t_d, 11)
     g_pointer = min(
-        conditional_g(_dephase_joint(rho_sm, pointer_channel, t), record_1, prop_0)
+        conditional_g(dephase(rho_sm, pointer_channel, t), record_1, prop_0)
         for t in times
     )
     mixing_channel = DephasingChannel(
-        np.kron(_hadamard_1(), np.eye(2, dtype=complex)), t_d
+        np.kron(_hadamard_frame(1), np.eye(2, dtype=complex)), t_d
     )
-    g_mixing = conditional_g(
-        _dephase_joint(rho_sm, mixing_channel, t_d), record_1, prop_0
-    )
+    g_mixing = conditional_g(dephase(rho_sm, mixing_channel, t_d), record_1, prop_0)
     rows.append({"experiment": "g", "basis": "pointer", "g_t": g_pointer})
     rows.append({"experiment": "g", "basis": "mixing", "g_t": g_mixing})
 
@@ -522,16 +526,6 @@ def _run_records(config: ExperimentConfig) -> ResultArtifact:
     )
 
 
-def _hadamard_1() -> np.ndarray:
-    return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-
-
-def _dephase_joint(rho: DensityMatrix, channel: DephasingChannel, t: float) -> DensityMatrix:
-    from .dephasing import dephase
-
-    return dephase(rho, channel, t)
-
-
 def observer_lists(
     prepare_basis: str,
     measure_basis: str,
@@ -555,7 +549,7 @@ def observer_lists(
         raise ConfigError("ensemble must be positive")
     rng = np.random.default_rng(seed)
     channel = DephasingChannel.computational(1, t_d)
-    hadamard = _hadamard_1()
+    hadamard = _hadamard_frame(1)
 
     def basis_projectors(basis: str) -> tuple[Projector, Projector]:
         if basis == "pointer":

@@ -7,6 +7,14 @@ off-diagonal entry is damped by exp(-t/t_d).  This is the minimal model
 interpolating between the untouched state at t = 0 and the fully decohered
 diagonal at t >> t_d while forming a semigroup; per-pair rates are not
 resolved.
+
+``decohered_limit`` is the pinching Pi onto the pointer-frame diagonal and
+``dephase`` is f rho + (1 - f) Pi(rho), f = exp(-t/t_d).  Only this module
+applies a frame.  A channel's basis is matched exactly, once, against the
+two named frames, which skip the Gram check; Pi then takes one exact form:
+computational, diag(diag rho); Hadamard, the X-Pauli twirl
+Pi[j, k] = s[j ^ k] / d with s[m] = sum_j rho[j, j ^ m]; any other frame W,
+W diag(y) W^H with y_i = (W^H rho W)_ii, two d x d products.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ import numpy as np
 from .states import DensityMatrix, HERMITICITY_TOL, _readonly
 
 BASIS_TOL = 1e-10
-
 
 def _hadamard_frame(num_qubits: int) -> np.ndarray:
     h1 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -41,16 +48,25 @@ class DephasingChannel:
 
     def __post_init__(self) -> None:
         mat = _readonly(np.asarray(self.basis, dtype=complex))
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"pointer basis must be square, got shape {mat.shape}")
-        gram = mat.conj().T @ mat
-        defect = float(np.max(np.abs(gram - np.eye(mat.shape[0]))))
-        if defect > BASIS_TOL:
-            raise ValueError(f"pointer basis not orthonormal: defect {defect!r}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
+            raise ValueError(f"pointer basis must be square and nonempty, got shape {mat.shape}")
+        d = mat.shape[0]
+        if np.array_equal(mat, np.eye(d)):
+            frame = "computational"
+        # A Hadamard frame of another size (d not a power of two, or 1) never matches.
+        elif np.array_equal(mat, _hadamard_frame(d.bit_length() - 1)):
+            frame = "hadamard"
+        else:
+            frame = "dense"
+            gram = mat.conj().T @ mat
+            defect = float(np.max(np.abs(gram - np.eye(d))))
+            if defect > BASIS_TOL:
+                raise ValueError(f"pointer basis not orthonormal: defect {defect!r}")
         if not (float(self.t_d) > 0.0):
             raise ValueError(f"t_d must be positive, got {self.t_d!r}")
         object.__setattr__(self, "basis", mat)
         object.__setattr__(self, "t_d", float(self.t_d))
+        object.__setattr__(self, "_frame", frame)
 
     @classmethod
     def computational(cls, num_qubits: int, t_d: float) -> "DephasingChannel":
@@ -138,26 +154,35 @@ def _check_dims(rho: DensityMatrix, channel: DephasingChannel) -> None:
         )
 
 
+def _pinch(rho: DensityMatrix, channel: DephasingChannel) -> np.ndarray:
+    """Projection of rho onto the pointer-frame diagonal, in the register frame."""
+    _check_dims(rho, channel)
+    elements = rho.elements
+    if channel._frame == "computational":
+        return np.diag(elements.diagonal())
+    if channel._frame == "hadamard":
+        idx = np.arange(rho.dim)
+        xor = idx[:, None] ^ idx[None, :]
+        # s[m] is real for Hermitian rho: its conjugate sums rho[j ^ m, j].
+        s = np.bincount(xor.ravel(), weights=elements.real.ravel(), minlength=rho.dim)
+        return (s / rho.dim)[xor]
+    w = channel.basis
+    y = np.vecdot(w, elements @ w, axis=0)
+    return (w * y) @ w.conj().T
+
+
 def dephase(rho: DensityMatrix, channel: DephasingChannel, t: float) -> DensityMatrix:
     """Damp pointer-frame off-diagonals by exp(-t/t_d); diagonals untouched."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
-    _check_dims(rho, channel)
-    w = channel.basis
-    in_frame = w.conj().T @ rho.elements @ w
     factor = np.exp(-t / channel.t_d)
-    damped = in_frame * factor
-    np.fill_diagonal(damped, in_frame.diagonal())
-    return DensityMatrix(w @ damped @ w.conj().T, rho.num_qubits)
+    pinched = _pinch(rho, channel)
+    return DensityMatrix(factor * rho.elements + (1.0 - factor) * pinched, rho.num_qubits)
 
 
 def decohered_limit(rho: DensityMatrix, channel: DephasingChannel) -> DensityMatrix:
     """Exact projection onto the pointer-frame diagonal (the t -> oo state)."""
-    _check_dims(rho, channel)
-    w = channel.basis
-    in_frame = w.conj().T @ rho.elements @ w
-    diag = np.diag(in_frame.diagonal())
-    return DensityMatrix(w @ diag @ w.conj().T, rho.num_qubits)
+    return DensityMatrix(_pinch(rho, channel), rho.num_qubits)
 
 
 def pointer_commutator_defect(

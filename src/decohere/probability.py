@@ -13,7 +13,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .dephasing import DephasingChannel, decohered_limit
+from .dephasing import DephasingChannel
 from .states import DensityMatrix, Projector, PureState, born_probability, _readonly
 
 SUM_TOL = 1e-12
@@ -94,9 +94,7 @@ def uniform_outcome_probabilities(
         raise ValueError(
             "pointer-frame magnitudes are unequal; use born_probability directly"
         )
-    limit = decohered_limit(psi.to_density_matrix(), channel)
-    in_frame = channel.basis.conj().T @ limit.elements @ channel.basis
-    return ProbabilityVector(in_frame.diagonal().real)
+    return ProbabilityVector(mags**2)
 
 
 def permutation_distinguishability(

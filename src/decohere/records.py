@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dephasing import DephasingChannel, decohered_limit
+from .dephasing import DephasingChannel, _hadamard_frame, decohered_limit
 from .probability import ProbabilityVector
 from .sieve import (
     DynamicsSpec,
@@ -211,10 +211,7 @@ def _record_register_state(
     width = model.record_qubits
     cell_mats = [_record_matrix(r) for r in model.record_states]
     if record_basis == "conjugate":
-        h1 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-        frame = h1
-        for _ in range(width - 1):
-            frame = np.kron(frame, h1)
+        frame = _hadamard_frame(width)
         cell_mats = [frame @ m @ frame.conj().T for m in cell_mats]
     elif record_basis != "pointer":
         raise ValueError(f"unknown record basis {record_basis!r}")
@@ -269,17 +266,15 @@ def record_consensus(model: MemoryModel, cells: int, basis: str) -> float:
     if model.record_qubits != 1:
         raise ValueError("consensus check expects single-qubit record cells")
     rho = _record_register_state(model, "pointer", cells)
+    # Weights of the all-zeros and all-ones strings: frame columns 0 and d - 1.
     if basis == "conjugate":
-        h1 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-        frame = h1
-        for _ in range(cells - 1):
-            frame = np.kron(frame, h1)
-        rho = frame.conj().T @ rho @ frame
-    elif basis != "pointer":
+        ends = _hadamard_frame(cells)[:, [0, -1]]
+        weights = np.vecdot(ends, rho @ ends, axis=0).real
+    elif basis == "pointer":
+        weights = rho.diagonal()[[0, -1]].real
+    else:
         raise ValueError(f"unknown readout basis {basis!r}")
-    weights = rho.diagonal().real
-    agree = weights[0] + weights[-1]  # all-zeros and all-ones strings
-    return float(agree)
+    return float(weights[0] + weights[1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .dephasing import _hadamard_frame
 from .states import PureState, _readonly, check_qubits
 
 MAX_SEARCH_QUBITS = 8
@@ -306,59 +307,38 @@ def error_robustness(joint: JointState, basis: str, k: int) -> float:
 
 
 def _pointer_robustness(n: int, k: int) -> float:
-    """Majority decode under k bit-value-scrambling events, exact average."""
-    total = 0.0
-    patterns = 0
-    for pattern in combinations(range(n), k):
-        correct = 0
-        for flips in product((0, 1), repeat=k):
-            bits0 = [0] * n
-            bits1 = [1] * n
-            for q, f in zip(pattern, flips):
-                bits0[q] ^= f
-                bits1[q] ^= f
-            if majority_decode(bits0) == 0:
-                correct += 1
-            if majority_decode(bits1) == 1:
-                correct += 1
-        total += correct / (2 ** (k + 1))
-        patterns += 1
-    return total / patterns
+    """Majority decode under k bit-value-scrambling events, exact average.
 
-
-def _hadamard_basis_matrix(n: int) -> np.ndarray:
-    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    mat = h1
-    for _ in range(n - 1):
-        mat = np.kron(mat, h1)
-    return mat
+    Each event flips its bit with probability 1/2; the vote survives at most
+    (n - 1) / 2 flips, for either branch and every choice of afflicted qubits.
+    """
+    if n % 2 == 0:
+        raise ValueError("majority vote needs an odd number of outcomes")
+    return sum(math.comb(k, j) for j in range(min(k, (n - 1) // 2) + 1)) / 2**k
 
 
 def _hadamard_robustness(joint: JointState, n: int, k: int) -> float:
-    """Best-decoder sign inference under k phase-scrambling events."""
+    """Best-decoder sign inference under k phase-scrambling events.
+
+    Since H Z_m = X_m H, a phase flip on mask m only permutes a branch's
+    Hadamard-basis weights, w_m[j] = w[j ^ m]; each branch is transformed once.
+    """
     plus = PureState.from_amplitudes(np.array([1.0, 1.0]) / math.sqrt(2.0))
     minus = PureState.from_amplitudes(np.array([1.0, -1.0]) / math.sqrt(2.0))
-    e_plus = environment_record(joint, plus).amplitudes
-    e_minus = environment_record(joint, minus).amplitudes
+    frame = _hadamard_frame(n)
+    weights = [
+        np.abs(frame @ environment_record(joint, s).amplitudes) ** 2 for s in (plus, minus)
+    ]
 
     indices = np.arange(2**n, dtype=np.intp)
     bit_of = [1 << (n - 1 - q) for q in range(n)]
-    frame = _hadamard_basis_matrix(n)
+    signs = np.array(list(product((0, 1), repeat=k)), dtype=np.intp)
 
     total = 0.0
     patterns = 0
     for pattern in combinations(range(n), k):
-        dists = []
-        for branch in (e_plus, e_minus):
-            dist = np.zeros(2**n)
-            for signs in product((0, 1), repeat=k):
-                z_mask = 0
-                for q, s in zip(pattern, signs):
-                    if s:
-                        z_mask |= bit_of[q]
-                flipped = branch * (1.0 - 2.0 * _parity(indices, z_mask).astype(float))
-                dist += np.abs(frame @ flipped) ** 2
-            dists.append(dist / (2**k))
+        masks = signs @ np.array([bit_of[q] for q in pattern], dtype=np.intp)
+        dists = [w[indices ^ masks[:, None]].mean(axis=0) for w in weights]
         # Optimal outcome-by-outcome guess between the two equiprobable branches.
         total += 0.5 * float(np.sum(np.maximum(dists[0], dists[1])))
         patterns += 1

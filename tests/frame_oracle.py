@@ -1,0 +1,133 @@
+"""Dense-frame reference for pinching, dephasing and conjugate-sector decoding.
+
+This is the code as it was before ``decohere.dephasing`` chose the pinching
+by frame kind: ``dephase`` and ``decohered_limit`` conjugate the state into
+the pointer frame and back with four d x d products, whatever the frame;
+``_pointer_robustness`` enumerates every bit-flip pattern and
+``_hadamard_robustness`` transforms every phase-flipped branch with a dense
+Hadamard matrix; ``record_consensus`` and ``uniform_outcome_probabilities``
+conjugate a whole matrix only to read its diagonal.  The tests compare the
+structured code against it.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import combinations, product
+
+import numpy as np
+
+from decohere.dephasing import DephasingChannel, _check_dims
+from decohere.probability import ProbabilityVector
+from decohere.records import _record_register_state
+from decohere.redundancy import JointState, _parity, environment_record, majority_decode
+from decohere.states import DensityMatrix, PureState
+
+
+def dephase(rho: DensityMatrix, channel: DephasingChannel, t: float) -> DensityMatrix:
+    """Damp pointer-frame off-diagonals by exp(-t/t_d); diagonals untouched."""
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t!r}")
+    _check_dims(rho, channel)
+    w = channel.basis
+    in_frame = w.conj().T @ rho.elements @ w
+    factor = np.exp(-t / channel.t_d)
+    damped = in_frame * factor
+    np.fill_diagonal(damped, in_frame.diagonal())
+    return DensityMatrix(w @ damped @ w.conj().T, rho.num_qubits)
+
+
+def decohered_limit(rho: DensityMatrix, channel: DephasingChannel) -> DensityMatrix:
+    """Exact projection onto the pointer-frame diagonal (the t -> oo state)."""
+    _check_dims(rho, channel)
+    w = channel.basis
+    in_frame = w.conj().T @ rho.elements @ w
+    diag = np.diag(in_frame.diagonal())
+    return DensityMatrix(w @ diag @ w.conj().T, rho.num_qubits)
+
+
+def uniform_outcome_probabilities(
+    psi: PureState, channel: DephasingChannel
+) -> ProbabilityVector:
+    """Pointer-frame diagonal of the decohered limit (magnitude check omitted)."""
+    limit = decohered_limit(psi.to_density_matrix(), channel)
+    in_frame = channel.basis.conj().T @ limit.elements @ channel.basis
+    return ProbabilityVector(in_frame.diagonal().real)
+
+
+def record_consensus(model, cells: int, basis: str) -> float:
+    """Probability that all replicated cells agree when read in ``basis``."""
+    if model.record_qubits != 1:
+        raise ValueError("consensus check expects single-qubit record cells")
+    rho = _record_register_state(model, "pointer", cells)
+    if basis == "conjugate":
+        h1 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+        frame = h1
+        for _ in range(cells - 1):
+            frame = np.kron(frame, h1)
+        rho = frame.conj().T @ rho @ frame
+    elif basis != "pointer":
+        raise ValueError(f"unknown readout basis {basis!r}")
+    weights = rho.diagonal().real
+    agree = weights[0] + weights[-1]  # all-zeros and all-ones strings
+    return float(agree)
+
+
+def _pointer_robustness(n: int, k: int) -> float:
+    """Majority decode under k bit-value-scrambling events, exact average."""
+    total = 0.0
+    patterns = 0
+    for pattern in combinations(range(n), k):
+        correct = 0
+        for flips in product((0, 1), repeat=k):
+            bits0 = [0] * n
+            bits1 = [1] * n
+            for q, f in zip(pattern, flips):
+                bits0[q] ^= f
+                bits1[q] ^= f
+            if majority_decode(bits0) == 0:
+                correct += 1
+            if majority_decode(bits1) == 1:
+                correct += 1
+        total += correct / (2 ** (k + 1))
+        patterns += 1
+    return total / patterns
+
+
+def _hadamard_basis_matrix(n: int) -> np.ndarray:
+    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    mat = h1
+    for _ in range(n - 1):
+        mat = np.kron(mat, h1)
+    return mat
+
+
+def _hadamard_robustness(joint: JointState, n: int, k: int) -> float:
+    """Best-decoder sign inference under k phase-scrambling events."""
+    plus = PureState.from_amplitudes(np.array([1.0, 1.0]) / math.sqrt(2.0))
+    minus = PureState.from_amplitudes(np.array([1.0, -1.0]) / math.sqrt(2.0))
+    e_plus = environment_record(joint, plus).amplitudes
+    e_minus = environment_record(joint, minus).amplitudes
+
+    indices = np.arange(2**n, dtype=np.intp)
+    bit_of = [1 << (n - 1 - q) for q in range(n)]
+    frame = _hadamard_basis_matrix(n)
+
+    total = 0.0
+    patterns = 0
+    for pattern in combinations(range(n), k):
+        dists = []
+        for branch in (e_plus, e_minus):
+            dist = np.zeros(2**n)
+            for signs in product((0, 1), repeat=k):
+                z_mask = 0
+                for q, s in zip(pattern, signs):
+                    if s:
+                        z_mask |= bit_of[q]
+                flipped = branch * (1.0 - 2.0 * _parity(indices, z_mask).astype(float))
+                dist += np.abs(frame @ flipped) ** 2
+            dists.append(dist / (2**k))
+        # Optimal outcome-by-outcome guess between the two equiprobable branches.
+        total += 0.5 * float(np.sum(np.maximum(dists[0], dists[1])))
+        patterns += 1
+    return total / patterns

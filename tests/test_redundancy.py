@@ -244,6 +244,13 @@ def test_conjugate_sector_clean_channel_decodes():
     assert error_robustness(ghz_joint(3), "hadamard", 0) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_pointer_sector_rejects_even_environment():
+    for n in (2, 4):
+        for k in range(n + 1):
+            with pytest.raises(ValueError, match="odd"):
+                error_robustness(ghz_joint(n), "pointer", k)
+
+
 def test_error_robustness_rejects_excess_errors():
     with pytest.raises(ValueError, match="outside"):
         error_robustness(ghz_joint(3), "pointer", 4)

@@ -194,3 +194,17 @@ def test_sieve_ranking_covariant_under_frame_change():
     conj = {r.label: r.tprime_p for r in sieve_rank(rotated, dyn_h, labels=[str(i) for i in range(len(candidates))])}
     for key in plain:
         assert plain[key] == pytest.approx(conj[key], abs=1e-9)
+
+
+def test_sieve_breaks_purity_ties_by_final_entropy():
+    # Both diagonals have sum p_i^2 = 30820/16^4, so their purity horizons are
+    # bitwise equal; only the final (Shannon) entropy of the diagonal differs.
+    dyn = DynamicsSpec(DephasingChannel.computational(3, 1.0), uniform_grid(5.0, 200), 5.0)
+    high = PureState.from_amplitudes(np.array([13, 6, 5, 4, 3, 1, 0, 0]) / 16.0)
+    low = PureState.from_amplitudes(np.array([12, 10, 3, 1, 1, 1, 0, 0]) / 16.0)
+    for candidates, labels in (([high, low], ["high", "low"]), ([low, high], ["low", "high"])):
+        reports = sieve_rank(candidates, dyn, labels=labels)
+        assert reports[0].tprime_p == reports[1].tprime_p
+        assert [r.label for r in reports] == ["low", "high"]
+        assert reports[0].final_entropy == pytest.approx(1.260, abs=1e-3)
+        assert reports[1].final_entropy == pytest.approx(1.572, abs=1e-3)
