@@ -155,22 +155,14 @@ def coarse_grain(p: ProbabilityVector, total_states: int) -> CoarseGraining:
 def reconstruct_reduced(grouping: CoarseGraining) -> tuple[np.ndarray, float]:
     """Group-sum the flat expanded state back to outcome weights.
 
-    Builds the M-dimensional maximally mixed expansion, sums each
-    outcome's block of ancilla cells, and returns the reduced diagonal
-    matrix diag(n_k / M) together with the worst-case deviation
-    max_k |p_k - n_k/M| from the original weights.
+    The M-dimensional maximally mixed expansion gives each ancilla cell
+    weight 1/M, so outcome k's block of n_k cells sums to n_k / M.  Returns
+    the reduced diagonal matrix diag(n_k / M) together with the worst-case
+    deviation max_k |p_k - n_k/M| from the original weights.
     """
-    m = grouping.total_states
-    expanded = np.eye(m, dtype=complex) / m
-    boundaries = np.cumsum((0,) + grouping.degeneracies)
-    reduced = np.zeros((grouping.outcome_count, grouping.outcome_count), dtype=complex)
-    for k in range(grouping.outcome_count):
-        block = expanded[boundaries[k] : boundaries[k + 1], boundaries[k] : boundaries[k + 1]]
-        reduced[k, k] = block.diagonal().sum()
-    deviation = float(
-        np.max(np.abs(grouping.probabilities.values - reduced.diagonal().real))
-    )
-    return reduced, deviation
+    weights = np.array(grouping.degeneracies, dtype=float) / grouping.total_states
+    deviation = float(np.max(np.abs(grouping.probabilities.values - weights)))
+    return np.diag(weights.astype(complex)), deviation
 
 
 def _as_density(state: Union[PureState, DensityMatrix]) -> DensityMatrix:

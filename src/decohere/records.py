@@ -261,20 +261,25 @@ def record_consensus(model: MemoryModel, cells: int, basis: str) -> float:
 
     Reading replicated records in the basis they were einselected in gives
     perfect accord; reading them in the conjugate basis scatters the cells
-    independently.
+    independently.  The register is sum_i p_i cell_i^(x cells), so the
+    all-zeros and all-ones weights are sum_i p_i <e|cell_i|e>^cells over
+    the two readout states e of one cell.
     """
     if model.record_qubits != 1:
         raise ValueError("consensus check expects single-qubit record cells")
-    rho = _record_register_state(model, "pointer", cells)
-    # Weights of the all-zeros and all-ones strings: frame columns 0 and d - 1.
+    if cells < 1:
+        raise ValueError("need at least one memory cell")
     if basis == "conjugate":
-        ends = _hadamard_frame(cells)[:, [0, -1]]
-        weights = np.vecdot(ends, rho @ ends, axis=0).real
+        ends = _hadamard_frame(1)
     elif basis == "pointer":
-        weights = rho.diagonal()[[0, -1]].real
+        ends = np.eye(2)
     else:
         raise ValueError(f"unknown readout basis {basis!r}")
-    return float(weights[0] + weights[1])
+    total = 0.0
+    for p_i, record in zip(model.probabilities.values, model.record_states):
+        cell_weights = np.vecdot(ends, _record_matrix(record) @ ends, axis=0).real
+        total += p_i * float(np.sum(cell_weights**cells))
+    return total
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,10 +3,15 @@
 Conditional environment records are extracted by projecting the joint
 state onto a system state; the redundancy distance between two records is
 the least total number of single-qubit Pauli flips (X, Y and Z each count
-as one) mapping one onto the other up to a global phase.  The search is
-exhaustive over per-qubit flip assignments, enumerated in order of
-increasing flip count so the first match is minimal; it is capped at 8
-environment qubits (4^8 assignments).
+as one) mapping one onto the other up to a global phase.  A Pauli string
+is an X mask x and a Z mask z, and <b|X^x Z^z|a> is, up to phase, the
+Walsh-Hadamard transform over j of conj(b[j ^ x]) a[j] at z: one transform
+gives the overlaps of every Z mask for one X mask.  X masks are taken in
+layers of increasing popcount, and the search stops after layer k once
+the lightest match weighs at most k, since popcount(x | z) >= popcount(x).
+Among matches of the least weight, the first in the order (qubit tuple,
+then X < Y < Z labels) wins.  The search is capped at 8 environment qubits
+(4^8 assignments).
 
 Decoding robustness treats "k errors" as k complete decohering events:
 each afflicted qubit suffers the relevant Pauli with probability 1/2
@@ -32,13 +37,8 @@ from .states import PureState, _readonly, check_qubits
 MAX_SEARCH_QUBITS = 8
 NULL_WEIGHT = 1e-12
 MATCH_TOL = 1e-9
-
-_PARITY_TABLE = np.array([bin(i).count("1") & 1 for i in range(256)], dtype=np.uint8)
-
-
-def _parity(indices: np.ndarray, mask: int) -> np.ndarray:
-    """Popcount parity of ``indices & mask`` for registers up to 8 qubits."""
-    return _PARITY_TABLE[indices & mask]
+# X masks per transform: bounds the spectrum block at 16 x 2^n amplitudes.
+_MASK_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,17 +150,27 @@ def environment_record(joint: JointState, phi: PureState) -> EnvironmentRecord:
     return EnvironmentRecord(raw / math.sqrt(weight), weight, n_env)
 
 
-def _flip_overlap(
-    a: np.ndarray, b_conj: np.ndarray, indices: np.ndarray, x_mask: int, z_mask: int
-) -> float:
-    """|<b| P |a>| for the Pauli string with the given X/Z masks.
+def _walsh_hadamard(rows: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of each row, by butterfly passes.
 
-    P acts as |j> -> (-1)^parity(j & z_mask) |j ^ x_mask| up to a global
-    phase, which cannot change the overlap magnitude.
+    out[:, z] = sum_j (-1)^popcount(j & z) rows[:, j]; rows have 2^n entries.
     """
-    shifted = b_conj[indices ^ x_mask]
-    signs = 1.0 - 2.0 * _parity(indices, z_mask).astype(float)
-    return abs(np.sum(shifted * signs * a))
+    count, d = rows.shape
+    half = 1
+    while half < d:
+        pairs = rows.reshape(count, d // (2 * half), 2, half)
+        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+        rows = np.stack((lo + hi, lo - hi), axis=2).reshape(count, d)
+        half *= 2
+    return rows
+
+
+def _flip_labels(x_mask: int, z_mask: int, n: int) -> tuple[str, ...]:
+    """Per-qubit labels of a Pauli string; qubit q is bit n-1-q (big-endian)."""
+    return tuple(
+        "IZXY"[((x_mask >> (n - 1 - q)) & 1) << 1 | ((z_mask >> (n - 1 - q)) & 1)]
+        for q in range(n)
+    )
 
 
 def minimal_flip_sequence(
@@ -168,9 +178,13 @@ def minimal_flip_sequence(
 ) -> Optional[FlipSequence]:
     """Smallest flip assignment mapping record ``a`` onto ``b`` up to phase.
 
-    Assignments are enumerated in order of increasing total flip count, so
-    the first hit is minimal.  Returns None when no assignment reaches unit
-    overlap magnitude (within 1e-9).
+    X masks are visited in layers of increasing popcount, in blocks of up
+    to 16; one Walsh-Hadamard transform per block gives the overlap of
+    every Z mask.  A match (overlap magnitude >= 1 - 1e-9) weighs
+    popcount(x | z) >= popcount(x), so the search ends after layer k once
+    the lightest match found weighs at most k.  Ties go to the first
+    assignment in (weight, qubit tuple, X < Y < Z labels) order.  Returns
+    None when no assignment matches.
     """
     if a.is_null or b.is_null:
         raise ValueError("null records have no flip distance")
@@ -181,26 +195,29 @@ def minimal_flip_sequence(
         raise ValueError(f"flip search capped at {MAX_SEARCH_QUBITS} qubits, got {n}")
 
     indices = np.arange(2**n, dtype=np.intp)
+    layer_of = np.bitwise_count(indices)
     b_conj = b.amplitudes.conj()
-    # Qubit q is the (n-1-q)-th bit of the basis index (big-endian).
-    bit_of = [1 << (n - 1 - q) for q in range(n)]
-
-    for flips in range(n + 1):
-        for qubits in combinations(range(n), flips):
-            for paulis in product("XYZ", repeat=flips):
-                x_mask = 0
-                z_mask = 0
-                for q, p in zip(qubits, paulis):
-                    if p != "Z":
-                        x_mask |= bit_of[q]
-                    if p != "X":
-                        z_mask |= bit_of[q]
-                if _flip_overlap(a.amplitudes, b_conj, indices, x_mask, z_mask) >= 1.0 - MATCH_TOL:
-                    labels = ["I"] * n
-                    for q, p in zip(qubits, paulis):
-                        labels[q] = p
-                    return FlipSequence.from_labels(labels)
-    return None
+    best = None  # ((weight, qubit tuple, Pauli labels), per-qubit labels)
+    for layer in range(n + 1):
+        x_masks = indices[layer_of == layer]
+        for start in range(0, x_masks.size, _MASK_BLOCK):
+            block = x_masks[start : start + _MASK_BLOCK]
+            spectrum = _walsh_hadamard(b_conj[indices ^ block[:, None]] * a.amplitudes)
+            rows, z_masks = np.nonzero(np.abs(spectrum) >= 1.0 - MATCH_TOL)
+            if rows.size == 0:
+                continue
+            hit_x = block[rows]
+            weights = np.bitwise_count(hit_x | z_masks)
+            lightest = weights == weights.min()
+            for x, z in zip(hit_x[lightest].tolist(), z_masks[lightest].tolist()):
+                labels = _flip_labels(x, z, n)
+                qubits = tuple(q for q, p in enumerate(labels) if p != "I")
+                key = (len(qubits), qubits, tuple(labels[q] for q in qubits))
+                if best is None or key < best[0]:
+                    best = (key, labels)
+        if best is not None and best[0][0] <= layer:
+            break
+    return None if best is None else FlipSequence.from_labels(best[1])
 
 
 def redundancy_distance(a: EnvironmentRecord, b: EnvironmentRecord) -> float:

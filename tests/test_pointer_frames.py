@@ -134,11 +134,30 @@ def test_uniform_outcomes_match_decohered_limit_diagonal(n):
 @pytest.mark.parametrize("cells", range(1, 9))
 def test_record_consensus_matches_full_conjugation(cells):
     p = float(RNG.uniform(0.05, 0.95))
-    model = MemoryModel(
-        probabilities=ProbabilityVector([p, 1.0 - p]),
-        system_states=(PureState.basis(1, 0), PureState.basis(1, 1)),
-        record_states=(PureState.basis(1, 1), PureState.basis(1, 0)),
-    )
-    for basis in ("pointer", "conjugate"):
-        got = record_consensus(model, cells, basis)
-        assert abs(got - frame_oracle.record_consensus(model, cells, basis)) <= TOL
+    system = (PureState.basis(1, 0), PureState.basis(1, 1))
+    u = _random_unitary(2)
+    models = [
+        MemoryModel(
+            probabilities=ProbabilityVector([p, 1.0 - p]),
+            system_states=system,
+            record_states=(PureState.basis(1, 1), PureState.basis(1, 0)),
+        ),
+        # Orthogonal records in a random frame, given as density matrices.
+        MemoryModel(
+            probabilities=ProbabilityVector([p, 1.0 - p]),
+            system_states=system,
+            record_states=tuple(
+                DensityMatrix(np.outer(u[:, k], u[:, k].conj()), 1) for k in (0, 1)
+            ),
+        ),
+        # A mixed (full-rank) record cell; one outcome, so nothing to be orthogonal to.
+        MemoryModel(
+            probabilities=ProbabilityVector([1.0]),
+            system_states=system[:1],
+            record_states=(_random_density(1),),
+        ),
+    ]
+    for model in models:
+        for basis in ("pointer", "conjugate"):
+            got = record_consensus(model, cells, basis)
+            assert abs(got - frame_oracle.record_consensus(model, cells, basis)) <= TOL

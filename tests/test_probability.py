@@ -175,6 +175,35 @@ def test_reconstruct_third_case_deviation():
     assert deviation == pytest.approx(1.0 / 12.0, abs=1e-12)
 
 
+def _block_sum_reduced(grouping: CoarseGraining) -> tuple[np.ndarray, float]:
+    """Reference: sum each outcome's block of the M x M maximally mixed expansion."""
+    m = grouping.total_states
+    expanded = np.eye(m, dtype=complex) / m
+    boundaries = np.cumsum((0,) + grouping.degeneracies)
+    reduced = np.zeros((grouping.outcome_count, grouping.outcome_count), dtype=complex)
+    for k in range(grouping.outcome_count):
+        block = expanded[boundaries[k] : boundaries[k + 1], boundaries[k] : boundaries[k + 1]]
+        reduced[k, k] = block.diagonal().sum()
+    deviation = float(
+        np.max(np.abs(grouping.probabilities.values - reduced.diagonal().real))
+    )
+    return reduced, deviation
+
+
+def test_reconstruct_matches_block_sum():
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 3, 7, 64, 255, 256, 1000, 1024):
+        for _ in range(5):
+            n_outcomes = int(rng.integers(1, min(m, 12) + 1))
+            raw = rng.random(n_outcomes) ** 3
+            grouping = coarse_grain(ProbabilityVector(raw / raw.sum()), m)
+            reduced, deviation = reconstruct_reduced(grouping)
+            want, want_deviation = _block_sum_reduced(grouping)
+            assert reduced.shape == want.shape and reduced.dtype == want.dtype
+            assert np.max(np.abs(reduced - want)) <= 1e-15
+            assert abs(deviation - want_deviation) <= 1e-15
+
+
 def test_reconstruct_deviation_shrinks_with_doubling():
     p = ProbabilityVector([1 / 3, 2 / 3])
     prev = math.inf
