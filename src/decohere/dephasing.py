@@ -36,6 +36,34 @@ def _hadamard_frame(num_qubits: int) -> np.ndarray:
     return frame
 
 
+def _is_hadamard_frame(mat: np.ndarray) -> bool:
+    """Whether ``mat`` equals ``_hadamard_frame(n)`` exactly, without building it.
+
+    Every entry of that frame is +-v, v the rounded n-fold product of
+    1/sqrt(2), with sign (-1)^popcount(i & j).  So its quadrants are
+    [[F, F], [F, -F]], and F has the same form down to the 1 x 1 block [v].
+    """
+    d = mat.shape[0]
+    if d < 2 or d & (d - 1):
+        return False
+    c = 1.0 / np.sqrt(2.0)
+    v = c
+    for _ in range(d.bit_length() - 2):
+        v *= c
+    block = mat
+    while block.shape[0] > 1:
+        h = block.shape[0] // 2
+        top = block[:h, :h]
+        if not (
+            np.array_equal(block[:h, h:], top)
+            and np.array_equal(block[h:, :h], top)
+            and np.array_equal(block[h:, h:], -top)
+        ):
+            return False
+        block = top
+    return bool(block[0, 0] == v)
+
+
 @dataclass(frozen=True, eq=False)
 class DephasingChannel:
     """Pointer frame plus decoherence timescale.
@@ -53,8 +81,7 @@ class DephasingChannel:
         d = mat.shape[0]
         if np.array_equal(mat, np.eye(d)):
             frame = "computational"
-        # A Hadamard frame of another size (d not a power of two, or 1) never matches.
-        elif np.array_equal(mat, _hadamard_frame(d.bit_length() - 1)):
+        elif _is_hadamard_frame(mat):
             frame = "hadamard"
         else:
             frame = "dense"
@@ -177,12 +204,16 @@ def dephase(rho: DensityMatrix, channel: DephasingChannel, t: float) -> DensityM
         raise ValueError(f"time must be nonnegative, got {t!r}")
     factor = np.exp(-t / channel.t_d)
     pinched = _pinch(rho, channel)
-    return DensityMatrix(factor * rho.elements + (1.0 - factor) * pinched, rho.num_qubits)
+    # A convex mixture of two states is a state.
+    return DensityMatrix._trusted(
+        factor * rho.elements + (1.0 - factor) * pinched, rho.num_qubits
+    )
 
 
 def decohered_limit(rho: DensityMatrix, channel: DephasingChannel) -> DensityMatrix:
     """Exact projection onto the pointer-frame diagonal (the t -> oo state)."""
-    return DensityMatrix(_pinch(rho, channel), rho.num_qubits)
+    # The pinching of a state is a state.
+    return DensityMatrix._trusted(_pinch(rho, channel), rho.num_qubits)
 
 
 def pointer_commutator_defect(

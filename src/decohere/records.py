@@ -113,7 +113,7 @@ def correlate(model: MemoryModel) -> DensityMatrix:
             sys_mat, _record_matrix(model.record_states[i])
         )
         total = block if total is None else total + block
-    return DensityMatrix(total, model.system_qubits + model.record_qubits)
+    return DensityMatrix._trusted(total, model.system_qubits + model.record_qubits)
 
 
 def conditional_g(
@@ -187,43 +187,55 @@ def outcome_horizon(
     raise ValueError(f"unknown horizon measure {measure!r}")
 
 
+def _kron_power(block: np.ndarray, cells: int) -> np.ndarray:
+    """block (x) block (x) ... (x) block, ``cells`` factors, grouped from the left."""
+    out = block
+    for _ in range(cells - 1):
+        out = np.kron(out, block)
+    return out
+
+
 def redundant_records(model: MemoryModel, cells: int) -> DensityMatrix:
     """Joint state with each outcome's record replicated across ``cells`` cells."""
     if cells < 1:
         raise ValueError("need at least one memory cell")
     total = None
     for i in range(model.outcome_count):
-        rec_mat = _record_matrix(model.record_states[i])
-        replicated = rec_mat
-        for _ in range(cells - 1):
-            replicated = np.kron(replicated, rec_mat)
+        replicated = _kron_power(_record_matrix(model.record_states[i]), cells)
         block = model.probabilities[i] * np.kron(
             _record_matrix(model.system_states[i]), replicated
         )
         total = block if total is None else total + block
-    return DensityMatrix(total, model.system_qubits + cells * model.record_qubits)
+    return DensityMatrix._trusted(
+        total, model.system_qubits + cells * model.record_qubits
+    )
 
 
-def _record_register_state(
-    model: MemoryModel, record_basis: str, cells: int
-) -> np.ndarray:
-    """Density matrix of the bare record register for replicated records."""
-    width = model.record_qubits
+def _cell_matrices(model: MemoryModel, record_basis: str) -> list[np.ndarray]:
+    """Each outcome's one-cell record, in the frame that ``record_basis`` names."""
     cell_mats = [_record_matrix(r) for r in model.record_states]
     if record_basis == "conjugate":
-        frame = _hadamard_frame(width)
-        cell_mats = [frame @ m @ frame.conj().T for m in cell_mats]
-    elif record_basis != "pointer":
+        frame = _hadamard_frame(model.record_qubits)
+        return [frame @ m @ frame.conj().T for m in cell_mats]
+    if record_basis != "pointer":
         raise ValueError(f"unknown record basis {record_basis!r}")
+    return cell_mats
 
-    dim = 2 ** (cells * width)
-    rho = np.zeros((dim, dim), dtype=complex)
-    for p_i, cell in zip(model.probabilities.values, cell_mats):
-        mat = cell
-        for _ in range(cells - 1):
-            mat = np.kron(mat, cell)
-        rho += p_i * mat
-    return rho
+
+def _record_register(
+    probabilities: np.ndarray, blocks: Sequence[np.ndarray], cells: int
+) -> np.ndarray:
+    """sum_i p_i block_i^(x cells) over one block per outcome.
+
+    Given the cell matrices this is the record register's density matrix,
+    O(4^cells).  Given their diagonals it is the register's diagonal, at
+    O(2^cells): the diagonal of a Kronecker chain is the chain of the
+    diagonals, and the entries are the same products, so the same bits.
+    """
+    total = np.zeros(tuple(s**cells for s in blocks[0].shape), dtype=complex)
+    for p_i, block in zip(probabilities, blocks):
+        total += p_i * _kron_power(block, cells)
+    return total
 
 
 def branch_count(
@@ -239,21 +251,25 @@ def branch_count(
     replicated over ``cells`` cells, then decohered in the register's
     einselected computational basis; branches are diagonal entries heavier
     than ``threshold``.  Pointer records keep one branch per outcome;
-    conjugate records explode into 2^cells branches.
+    conjugate records explode into 2^cells branches.  Only a ``channel``
+    with another pointer frame needs the whole register.
     """
     min_p = float(model.probabilities.values.min())
     if not (0.0 < threshold < min_p):
         raise ValueError(f"threshold must lie in (0, {min_p}), got {threshold!r}")
-    rho = _record_register_state(model, record_basis, cells)
-    width = cells * model.record_qubits
-    if channel is not None:
-        if channel.dim != rho.shape[0]:
-            raise ValueError("channel dimension does not match the record register")
-        limit = decohered_limit(DensityMatrix(rho, width), channel)
-        weights = limit.elements.diagonal().real
+    if cells < 1:
+        raise ValueError("need at least one memory cell")
+    cell_mats = _cell_matrices(model, record_basis)
+    probabilities = model.probabilities.values
+    if channel is None:
+        weights = _record_register(probabilities, [m.diagonal() for m in cell_mats], cells)
     else:
-        weights = rho.diagonal().real
-    return int(np.sum(weights > threshold))
+        width = cells * model.record_qubits
+        if channel.dim != 2**width:
+            raise ValueError("channel dimension does not match the record register")
+        rho = DensityMatrix._trusted(_record_register(probabilities, cell_mats, cells), width)
+        weights = decohered_limit(rho, channel).elements.diagonal()
+    return int(np.sum(weights.real > threshold))
 
 
 def record_consensus(model: MemoryModel, cells: int, basis: str) -> float:

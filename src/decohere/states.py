@@ -28,10 +28,6 @@ EIGENVALUE_FLOOR = -1e-8
 SPECTRUM_CUTOFF = 1e-12
 PROJECTOR_TOL = 1e-10
 
-# Full spectral positivity checks are O(d^3); above this dimension the
-# constructor falls back to checking the diagonal only.
-_POSITIVITY_CHECK_DIM = 256
-
 
 def _readonly(values, dtype=complex) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -59,6 +55,13 @@ def check_qubits(indices: Iterable[int], width: int) -> tuple[int, ...]:
     if len(set(out)) != len(out):
         raise ValueError(f"duplicate qubit indices in {out}")
     return out
+
+
+def _check_dense_qubits(num_qubits: int) -> int:
+    n = int(num_qubits)
+    if n < 1 or n > MAX_DENSE_QUBITS:
+        raise ValueError(f"num_qubits must be in 1..{MAX_DENSE_QUBITS}, got {n}")
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +117,8 @@ class PureState:
         return self.amplitudes.size
 
     def to_density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(
+        # |psi><psi| of a normalized psi is exactly Hermitian, unit-trace and rank one.
+        return DensityMatrix._trusted(
             np.outer(self.amplitudes, self.amplitudes.conj()), self.num_qubits
         )
 
@@ -132,10 +136,13 @@ class PureState:
 class DensityMatrix:
     """Hermitian, unit-trace, positive operator on a qubit register.
 
-    Hermiticity and trace are always verified (1e-10).  The spectral
-    positivity check (all eigenvalues >= -1e-8) runs in full for dimensions
-    up to 256; beyond that only the diagonal is inspected, since an O(d^3)
-    decomposition per construction would dominate large experiments.
+    Validation happens once, at the boundary.  A matrix from outside the
+    package is copied and checked in full at every size: Hermiticity and
+    trace within 1e-10, and all eigenvalues >= -1e-8 (an O(d^3)
+    decomposition, seconds at 11-12 qubits).  States the package derives
+    from valid states (``to_density_matrix``, ``partial_trace``,
+    ``tensor_product``, dephasing and the record registers) are valid by
+    construction and skip the checks through ``_trusted``.
     """
 
     elements: np.ndarray
@@ -143,9 +150,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         mat = _readonly(np.asarray(self.elements, dtype=complex))
-        n = int(self.num_qubits)
-        if n < 1 or n > MAX_DENSE_QUBITS:
-            raise ValueError(f"num_qubits must be in 1..{MAX_DENSE_QUBITS}, got {n}")
+        n = _check_dense_qubits(self.num_qubits)
         d = 2**n
         if mat.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix, got shape {mat.shape}")
@@ -155,14 +160,26 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr!r}")
-        if d <= _POSITIVITY_CHECK_DIM:
-            low = float(np.min(np.linalg.eigvalsh(mat)))
-        else:
-            low = float(np.min(mat.diagonal().real))
+        low = float(np.min(np.linalg.eigvalsh(mat)))
         if low < EIGENVALUE_FLOOR:
             raise ValueError(f"operator not positive: eigenvalue {low!r}")
         object.__setattr__(self, "elements", mat)
         object.__setattr__(self, "num_qubits", n)
+
+    @classmethod
+    def _trusted(cls, elements: np.ndarray, num_qubits: int) -> "DensityMatrix":
+        """Wrap a state that is valid by construction, without copy or checks.
+
+        ``elements`` must be an array the caller has just allocated from
+        valid states; it is taken over and marked read-only in place.
+        """
+        mat = np.asarray(elements, dtype=complex)
+        n = _check_dense_qubits(num_qubits)
+        mat.setflags(write=False)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "elements", mat)
+        object.__setattr__(rho, "num_qubits", n)
+        return rho
 
     @classmethod
     def from_matrix(cls, values) -> "DensityMatrix":
@@ -256,7 +273,9 @@ def tensor_product(a: StateLike, b: StateLike) -> StateLike:
     if isinstance(a, PureState) and isinstance(b, PureState):
         return PureState(np.kron(a.amplitudes, b.amplitudes), a.num_qubits + b.num_qubits)
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(np.kron(a.elements, b.elements), a.num_qubits + b.num_qubits)
+        return DensityMatrix._trusted(
+            np.kron(a.elements, b.elements), a.num_qubits + b.num_qubits
+        )
     raise TypeError("tensor_product requires two PureStates or two DensityMatrices")
 
 
@@ -276,9 +295,12 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         if q not in keep_t:
             in_idx[n + q] = q
     out_idx = [q for q in keep_t] + [n + q for q in keep_t]
-    reduced = np.einsum(tensor, in_idx, out_idx)
     d = 2 ** len(keep_t)
-    return DensityMatrix(reduced.reshape(d, d), len(keep_t))
+    reduced = np.einsum(tensor, in_idx, out_idx).reshape(d, d)
+    # With nothing traced out einsum returns a view, which stays one when the order is kept.
+    if np.may_share_memory(reduced, rho.elements):
+        reduced = reduced.copy()
+    return DensityMatrix._trusted(reduced, len(keep_t))
 
 
 def _entropy_bits(eigenvalues: np.ndarray) -> float:

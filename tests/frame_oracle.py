@@ -19,10 +19,10 @@ import numpy as np
 
 from decohere.dephasing import DephasingChannel, _check_dims
 from decohere.probability import ProbabilityVector
-from decohere.records import _record_register_state
 from decohere.redundancy import JointState, environment_record, majority_decode
 from decohere.states import DensityMatrix, PureState
 from flip_oracle import _parity
+from trusted_oracle import _record_register_state
 
 
 def dephase(rho: DensityMatrix, channel: DephasingChannel, t: float) -> DensityMatrix:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import frame_oracle
+from decohere import dephasing
 from decohere.dephasing import (
     DephasingChannel,
     _hadamard_frame,
@@ -74,6 +75,21 @@ def test_named_frames_and_equal_matrices_take_structured_paths():
         assert channel_from_spec(spec, 1.0, n)._frame == "hadamard"
 
 
+@pytest.mark.parametrize("n", [1, 4, 10])
+def test_named_hadamard_channel_builds_its_frame_once(n, monkeypatch):
+    calls = []
+
+    def counted(num_qubits):
+        calls.append(num_qubits)
+        return _hadamard_frame(num_qubits)
+
+    monkeypatch.setattr(dephasing, "_hadamard_frame", counted)
+    assert DephasingChannel.hadamard(n, 1.0)._frame == "hadamard"
+    assert calls == [n]
+    assert channel_from_spec("hadamard", 1.0, n)._frame == "hadamard"
+    assert calls == [n, n]
+
+
 def test_near_miss_frames_take_dense_path_with_gram_check():
     nudged = np.eye(4, dtype=complex)
     nudged[1, 1] += 1e-12
@@ -91,6 +107,11 @@ def test_near_miss_frames_take_dense_path_with_gram_check():
         DephasingChannel(np.eye(4) * (1.0 + 1e-9), 1.0)
     with pytest.raises(ValueError, match="orthonormal"):
         DephasingChannel(_hadamard_frame(2) * 2.0, 1.0)
+    # Right magnitudes, one sign wrong in the lower-right quadrant.
+    flipped = _hadamard_frame(3).copy()
+    flipped[7, 7] *= -1.0
+    with pytest.raises(ValueError, match="orthonormal"):
+        DephasingChannel(flipped, 1.0)
     with pytest.raises(ValueError, match="square"):
         DephasingChannel(np.zeros((0, 0)), 1.0)
 

@@ -84,6 +84,15 @@ def test_density_matrix_rejects_negative_spectrum():
         DensityMatrix.from_matrix([[1.5, 0.0], [0.0, -0.5]])
 
 
+def test_density_matrix_checks_positivity_beyond_256_dimensions():
+    # Hermitian, unit trace, nonnegative diagonal, yet eigenvalue 1/512 - 1/4.
+    mat = np.eye(512, dtype=complex) / 512
+    mat[0, 1] = mat[1, 0] = 0.25
+    assert np.min(mat.diagonal().real) >= 0.0
+    with pytest.raises(ValueError, match="not positive"):
+        DensityMatrix(mat, 9)
+
+
 def test_projector_rejects_non_idempotent():
     with pytest.raises(ValueError, match="idempotent"):
         Projector.from_matrix(np.eye(2) * 0.5)

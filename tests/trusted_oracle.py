@@ -1,0 +1,128 @@
+"""Checked producers and the full-register branch count, as they were before
+trusted construction.
+
+Each producer here wraps its result in the public ``DensityMatrix``
+constructor, which copies the array and runs the Hermiticity, trace and
+spectrum checks.  ``branch_count`` builds the whole 4^cells record register
+only to read its diagonal.  The tests compare the trusted, diagonal-only
+code in ``decohere`` against this.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+import numpy as np
+
+from decohere.dephasing import DephasingChannel, _hadamard_frame, _pinch
+from decohere.states import DensityMatrix, PureState, check_qubits
+
+
+def to_density_matrix(psi: PureState) -> DensityMatrix:
+    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.num_qubits)
+
+
+def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
+    return DensityMatrix(np.kron(a.elements, b.elements), a.num_qubits + b.num_qubits)
+
+
+def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
+    keep_t = check_qubits(keep, rho.num_qubits)
+    n = rho.num_qubits
+    tensor = rho.elements.reshape((2,) * (2 * n))
+    in_idx = list(range(2 * n))
+    for q in range(n):
+        if q not in keep_t:
+            in_idx[n + q] = q
+    out_idx = [q for q in keep_t] + [n + q for q in keep_t]
+    reduced = np.einsum(tensor, in_idx, out_idx)
+    d = 2 ** len(keep_t)
+    return DensityMatrix(reduced.reshape(d, d), len(keep_t))
+
+
+def dephase(rho: DensityMatrix, channel: DephasingChannel, t: float) -> DensityMatrix:
+    factor = np.exp(-t / channel.t_d)
+    pinched = _pinch(rho, channel)
+    return DensityMatrix(factor * rho.elements + (1.0 - factor) * pinched, rho.num_qubits)
+
+
+def decohered_limit(rho: DensityMatrix, channel: DephasingChannel) -> DensityMatrix:
+    return DensityMatrix(_pinch(rho, channel), rho.num_qubits)
+
+
+def _record_matrix(record) -> np.ndarray:
+    if isinstance(record, PureState):
+        return np.outer(record.amplitudes, record.amplitudes.conj())
+    return record.elements
+
+
+def correlate(model) -> DensityMatrix:
+    total = None
+    for i in range(model.outcome_count):
+        sys_mat = _record_matrix(model.system_states[i])
+        block = model.probabilities[i] * np.kron(
+            sys_mat, _record_matrix(model.record_states[i])
+        )
+        total = block if total is None else total + block
+    return DensityMatrix(total, model.system_qubits + model.record_qubits)
+
+
+def redundant_records(model, cells: int) -> DensityMatrix:
+    total = None
+    for i in range(model.outcome_count):
+        rec_mat = _record_matrix(model.record_states[i])
+        replicated = rec_mat
+        for _ in range(cells - 1):
+            replicated = np.kron(replicated, rec_mat)
+        block = model.probabilities[i] * np.kron(
+            _record_matrix(model.system_states[i]), replicated
+        )
+        total = block if total is None else total + block
+    return DensityMatrix(total, model.system_qubits + cells * model.record_qubits)
+
+
+def _record_register_state(model, record_basis: str, cells: int) -> np.ndarray:
+    """Density matrix of the bare record register for replicated records."""
+    width = model.record_qubits
+    cell_mats = [_record_matrix(r) for r in model.record_states]
+    if record_basis == "conjugate":
+        frame = _hadamard_frame(width)
+        cell_mats = [frame @ m @ frame.conj().T for m in cell_mats]
+    elif record_basis != "pointer":
+        raise ValueError(f"unknown record basis {record_basis!r}")
+
+    dim = 2 ** (cells * width)
+    rho = np.zeros((dim, dim), dtype=complex)
+    for p_i, cell in zip(model.probabilities.values, cell_mats):
+        mat = cell
+        for _ in range(cells - 1):
+            mat = np.kron(mat, cell)
+        rho += p_i * mat
+    return rho
+
+
+def register_weights(model, record_basis: str, cells: int) -> np.ndarray:
+    """Diagonal of the whole record register: the weights branches are counted on."""
+    return _record_register_state(model, record_basis, cells).diagonal().real
+
+
+def branch_count(
+    model,
+    record_basis: str,
+    cells: int,
+    channel: DephasingChannel | None = None,
+    threshold: float = 1e-6,
+) -> int:
+    min_p = float(model.probabilities.values.min())
+    if not (0.0 < threshold < min_p):
+        raise ValueError(f"threshold must lie in (0, {min_p}), got {threshold!r}")
+    rho = _record_register_state(model, record_basis, cells)
+    width = cells * model.record_qubits
+    if channel is not None:
+        if channel.dim != rho.shape[0]:
+            raise ValueError("channel dimension does not match the record register")
+        limit = decohered_limit(DensityMatrix(rho, width), channel)
+        weights = limit.elements.diagonal().real
+    else:
+        weights = rho.diagonal().real
+    return int(np.sum(weights > threshold))
