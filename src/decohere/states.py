@@ -117,10 +117,15 @@ class PureState:
         return self.amplitudes.size
 
     def to_density_matrix(self) -> "DensityMatrix":
+        """|psi><psi|, kept as the amplitudes until its ``elements`` are read.
+
+        The 12-qubit density cap is checked here, before anything is built.
+        """
         # |psi><psi| of a normalized psi is exactly Hermitian, unit-trace and rank one.
-        return DensityMatrix._trusted(
-            np.outer(self.amplitudes, self.amplitudes.conj()), self.num_qubits
-        )
+        rho = object.__new__(DensityMatrix)
+        object.__setattr__(rho, "num_qubits", _check_dense_qubits(self.num_qubits))
+        object.__setattr__(rho, "_amplitudes", self.amplitudes)
+        return rho
 
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other>."""
@@ -140,9 +145,14 @@ class DensityMatrix:
     package is copied and checked in full at every size: Hermiticity and
     trace within 1e-10, and all eigenvalues >= -1e-8 (an O(d^3)
     decomposition, seconds at 11-12 qubits).  States the package derives
-    from valid states (``to_density_matrix``, ``partial_trace``,
-    ``tensor_product``, dephasing and the record registers) are valid by
-    construction and skip the checks through ``_trusted``.
+    from valid states (``partial_trace``, ``tensor_product``, dephasing and
+    the record registers) are valid by construction and skip the checks
+    through ``_trusted``.
+
+    ``PureState.to_density_matrix`` skips them too, and keeps the state's
+    read-only amplitudes instead of the 4^n matrix: ``elements`` is built
+    from them on first read, and ``partial_trace`` works on them without
+    building it at all.
     """
 
     elements: np.ndarray
@@ -166,6 +176,17 @@ class DensityMatrix:
         object.__setattr__(self, "elements", mat)
         object.__setattr__(self, "num_qubits", n)
 
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails: ``elements`` of a rank-one
+        # state not yet read.  A racing first read may build a second, equal
+        # array; setdefault keeps one of them for every reader.
+        amps = self.__dict__.get("_amplitudes") if name == "elements" else None
+        if amps is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        mat = np.outer(amps, amps.conj())
+        mat.setflags(write=False)
+        return self.__dict__.setdefault("elements", mat)
+
     @classmethod
     def _trusted(cls, elements: np.ndarray, num_qubits: int) -> "DensityMatrix":
         """Wrap a state that is valid by construction, without copy or checks.
@@ -188,12 +209,12 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, num_qubits: int) -> "DensityMatrix":
-        d = 2**num_qubits
+        d = 2 ** _check_dense_qubits(num_qubits)
         return cls(np.eye(d, dtype=complex) / d, num_qubits)
 
     @property
     def dim(self) -> int:
-        return self.elements.shape[0]
+        return 2**self.num_qubits
 
     def eigenvalues(self) -> np.ndarray:
         """Real spectrum in ascending order."""
@@ -273,9 +294,8 @@ def tensor_product(a: StateLike, b: StateLike) -> StateLike:
     if isinstance(a, PureState) and isinstance(b, PureState):
         return PureState(np.kron(a.amplitudes, b.amplitudes), a.num_qubits + b.num_qubits)
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix._trusted(
-            np.kron(a.elements, b.elements), a.num_qubits + b.num_qubits
-        )
+        n = _check_dense_qubits(a.num_qubits + b.num_qubits)
+        return DensityMatrix._trusted(np.kron(a.elements, b.elements), n)
     raise TypeError("tensor_product requires two PureStates or two DensityMatrices")
 
 
@@ -284,11 +304,23 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
     ``keep`` fixes the qubit order of the result, so it can also be used to
     permute subsystems.  The trace is preserved exactly up to rounding.
+    A state from ``PureState.to_density_matrix`` is reduced from its
+    amplitudes as M M^H, M the (2^k, 2^(n-k)) amplitude matrix with the kept
+    qubits first: O(2^n 2^k) work and nothing of size 4^n.
     """
     keep_t = check_qubits(keep, rho.num_qubits)
     if not keep_t:
         raise ValueError("keep-set must be nonempty")
     n = rho.num_qubits
+    amps = rho.__dict__.get("_amplitudes")
+    if amps is not None:
+        rest = [q for q in range(n) if q not in keep_t]
+        m = amps.reshape((2,) * n).transpose(keep_t + tuple(rest)).reshape(2 ** len(keep_t), -1)
+        # The entrywise products of np.outer, summed, not a BLAS product: an
+        # entry with at most two nonzero terms (a premeasurement register) then
+        # gets the very value the full matrix gives, and CLI output its bytes.
+        reduced = (m[:, None, :] * m.conj()[None, :, :]).sum(axis=-1)
+        return DensityMatrix._trusted(reduced, len(keep_t))
     tensor = rho.elements.reshape((2,) * (2 * n))
     in_idx = list(range(2 * n))
     for q in range(n):

@@ -67,6 +67,23 @@ def test_invariant_violation_exits_3(tmp_path, capsys):
     assert "invariant violation" in capsys.readouterr().err
 
 
+def test_premeasure_beyond_density_cap_exits_3(tmp_path, capsys):
+    # 1 system + 1 apparatus + 18 environment qubits: a 20-qubit register,
+    # whose 4^20-entry density matrix must be refused, not allocated.
+    cfg = write_config(
+        tmp_path,
+        {
+            "experiment": "premeasure",
+            "params": {"environment": 18},
+            "out": str(tmp_path / "x.csv"),
+        },
+    )
+    assert main(["--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "invariant violation: num_qubits must be in 1..12, got 20" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -90,6 +90,34 @@ def test_named_hadamard_channel_builds_its_frame_once(n, monkeypatch):
     assert calls == [n, n]
 
 
+def test_identity_check_accepts_exactly_what_array_equal_accepts():
+    eye = np.eye(4, dtype=complex)
+    cases = [eye, np.eye(1, dtype=complex), np.zeros((4, 4), dtype=complex)]
+    signed = eye.copy()
+    signed[0, 1] = complex(-0.0, -0.0)
+    signed[2, 3] = complex(0.0, -0.0)
+    cases.append(signed)
+    for value in (complex(1.0, -0.0), 1 + 1e-300j, np.nextafter(1.0, 2.0), complex(1.0, np.nan), np.nan):
+        diag = eye.copy()
+        diag[2, 2] = value
+        cases.append(diag)
+    for value in (-0.0, 1e-300, 1j, np.nan):
+        off = eye.copy()
+        off[3, 0] = value
+        cases.append(off)
+    cases += [eye[[1, 0, 3, 2]], eye[::-1], _hadamard_frame(2), _random_unitary(4)]
+    # Fortran order and strided views, as a caller may pass them.
+    cases += [np.asfortranarray(off), np.asfortranarray(eye), np.eye(8, dtype=complex)[::2, ::2]]
+    accepted = 0
+    for mat in cases:
+        want = np.array_equal(mat, np.eye(mat.shape[0]))
+        assert dephasing._is_identity(mat) == want
+        accepted += want
+    # eye, 1 x 1, the signed zeros, 1 - 0j on the diagonal, -0.0 off it,
+    # eye in Fortran order, every other row and column of a larger eye.
+    assert accepted == 7
+
+
 def test_near_miss_frames_take_dense_path_with_gram_check():
     nudged = np.eye(4, dtype=complex)
     nudged[1, 1] += 1e-12
