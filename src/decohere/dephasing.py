@@ -100,7 +100,7 @@ class DephasingChannel:
             frame = "dense"
             gram = mat.conj().T @ mat
             defect = float(np.max(np.abs(gram - np.eye(d))))
-            if defect > BASIS_TOL:
+            if not (defect <= BASIS_TOL):
                 raise ValueError(f"pointer basis not orthonormal: defect {defect!r}")
         if not (float(self.t_d) > 0.0):
             raise ValueError(f"t_d must be positive, got {self.t_d!r}")
@@ -162,7 +162,7 @@ class HamiltonianSpec:
         for name, mat in (("self", h_self), ("interaction", h_int)):
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"{name} Hamiltonian must be square")
-            if float(np.max(np.abs(mat - mat.conj().T))) > HERMITICITY_TOL:
+            if not (float(np.max(np.abs(mat - mat.conj().T))) <= HERMITICITY_TOL):
                 raise ValueError(f"{name} Hamiltonian not Hermitian")
         if h_int.shape[0] % h_self.shape[0] != 0:
             raise ValueError(

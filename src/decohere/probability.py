@@ -33,10 +33,10 @@ class ProbabilityVector:
         vals = np.asarray(self.values, dtype=float).reshape(-1)
         if vals.size == 0:
             raise ValueError("probability vector must be nonempty")
-        if np.any(vals < -SUM_TOL) or np.any(vals > 1.0 + SUM_TOL):
+        if not np.all((vals >= -SUM_TOL) & (vals <= 1.0 + SUM_TOL)):
             raise ValueError("probabilities must lie in [0, 1]")
         total = float(vals.sum())
-        if abs(total - 1.0) > SUM_TOL:
+        if not (abs(total - 1.0) <= SUM_TOL):
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
         object.__setattr__(self, "values", _readonly(np.clip(vals, 0.0, 1.0), dtype=float))
 

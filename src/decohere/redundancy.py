@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dephasing import _hadamard_frame
-from .states import PureState, _readonly, check_qubits
+from .states import PureState, _norm_sq, _readonly, check_qubits
 
 MAX_SEARCH_QUBITS = 8
 NULL_WEIGHT = 1e-12
@@ -68,7 +68,9 @@ class EnvironmentRecord:
     """Conditional environment state with its probability weight.
 
     A weight at or below 1e-12 marks a null record; null records carry a
-    zero amplitude vector and are rejected by the distance search.
+    zero amplitude vector and are rejected by the distance search.  Records
+    from ``environment_record`` are normalized by construction and skip the
+    copy and the checks through ``_trusted``.
     """
 
     amplitudes: np.ndarray
@@ -80,14 +82,22 @@ class EnvironmentRecord:
         if amps.size != 2**self.num_qubits:
             raise ValueError("record length does not match qubit count")
         w = float(self.weight)
-        if w < 0 or w > 1 + 1e-9:
+        if not (0 <= w <= 1 + 1e-9):
             raise ValueError(f"weight must lie in [0, 1], got {w!r}")
-        if w > NULL_WEIGHT:
-            norm_sq = float(np.sum(np.abs(amps) ** 2))
-            if abs(norm_sq - 1.0) > 1e-9:
-                raise ValueError("non-null record must be normalized")
+        if w > NULL_WEIGHT and not (abs(_norm_sq(amps) - 1.0) <= 1e-9):
+            raise ValueError("non-null record must be normalized")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "weight", w)
+
+    @classmethod
+    def _trusted(cls, amplitudes: np.ndarray, weight: float, num_qubits: int) -> "EnvironmentRecord":
+        """Wrap a record valid by construction; ``amplitudes`` is taken over, read-only."""
+        amplitudes.setflags(write=False)
+        record = object.__new__(cls)
+        object.__setattr__(record, "amplitudes", amplitudes)
+        object.__setattr__(record, "weight", weight)
+        object.__setattr__(record, "num_qubits", num_qubits)
+        return record
 
     @property
     def is_null(self) -> bool:
@@ -130,6 +140,8 @@ def environment_record(joint: JointState, phi: PureState) -> EnvironmentRecord:
 
     The weight is the probability mass |<phi|Psi>|^2; a vanishing weight
     yields a flagged null record rather than a silently normalized one.
+    The sum over system basis states skips those where phi vanishes, so
+    conditioning on a basis state is one scaled copy of a slice of Psi.
     """
     n = joint.state.num_qubits
     n_sys = len(joint.system)
@@ -137,17 +149,27 @@ def environment_record(joint: JointState, phi: PureState) -> EnvironmentRecord:
         raise ValueError(
             f"conditioning state has {phi.num_qubits} qubits, system has {n_sys}"
         )
-    tensor = joint.state.amplitudes.reshape((2,) * n)
-    phi_tensor = phi.amplitudes.conj().reshape((2,) * n_sys)
-    sys_axes = list(joint.system)
-    env_axes = list(joint.environment)
-    raw = np.einsum(tensor, list(range(n)), phi_tensor, sys_axes, env_axes)
+    # System axes first, then the environment in the order the record lists it.
+    tensor = joint.state.amplitudes.reshape((2,) * n).transpose(joint.system + joint.environment)
+    coeffs = phi.amplitudes.conj()
+    raw = None
+    for s in np.flatnonzero(coeffs).tolist():
+        term = tensor[tuple((s >> (n_sys - 1 - i)) & 1 for i in range(n_sys))]
+        if raw is None:
+            raw = np.multiply(term, coeffs[s], out=np.empty(term.shape, dtype=complex))
+        else:
+            raw += term * coeffs[s]
     raw = raw.reshape(-1)
-    weight = float(np.sum(np.abs(raw) ** 2))
-    n_env = len(env_axes)
+    weight = _norm_sq(raw)
+    n_env = len(joint.environment)
     if weight <= NULL_WEIGHT:
-        return EnvironmentRecord(np.zeros(2**n_env, dtype=complex), 0.0, n_env)
-    return EnvironmentRecord(raw / math.sqrt(weight), weight, n_env)
+        return EnvironmentRecord._trusted(np.zeros(2**n_env, dtype=complex), 0.0, n_env)
+    # Both states are normalized, so the weight is at most 1 up to rounding.
+    # Scaling the float parts by the reciprocal is what complex division by a
+    # real computes, at a fifth of its cost.
+    parts = raw.view(np.float64)
+    np.multiply(parts, 1.0 / math.sqrt(weight), out=parts)
+    return EnvironmentRecord._trusted(raw, weight, n_env)
 
 
 def _walsh_hadamard(rows: np.ndarray) -> np.ndarray:

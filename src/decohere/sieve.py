@@ -347,10 +347,18 @@ class SieveReport:
 
 
 def bloch_state(theta: float, phi: float) -> PureState:
-    """Single-qubit state cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
-    return PureState.from_amplitudes(
-        [math.cos(theta / 2.0), complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)]
+    """Single-qubit state cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
+
+    Normalized by construction for any finite angles, so built without the
+    norm check.
+    """
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError(f"Bloch angles must be finite, got ({theta!r}, {phi!r})")
+    amps = np.array(
+        [math.cos(theta / 2.0), complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)],
+        dtype=complex,
     )
+    return PureState._trusted(amps, 1)
 
 
 def bloch_grid(theta_steps: int = 36, phi_steps: int = 36) -> list[tuple[float, float]]:

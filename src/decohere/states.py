@@ -57,11 +57,23 @@ def check_qubits(indices: Iterable[int], width: int) -> tuple[int, ...]:
     return out
 
 
+def _check_pure_qubits(num_qubits: int) -> int:
+    n = int(num_qubits)
+    if n < 1 or n > MAX_PURE_QUBITS:
+        raise ValueError(f"num_qubits must be in 1..{MAX_PURE_QUBITS}, got {n}")
+    return n
+
+
 def _check_dense_qubits(num_qubits: int) -> int:
     n = int(num_qubits)
     if n < 1 or n > MAX_DENSE_QUBITS:
         raise ValueError(f"num_qubits must be in 1..{MAX_DENSE_QUBITS}, got {n}")
     return n
+
+
+def _norm_sq(amplitudes: np.ndarray) -> float:
+    """Squared 2-norm of a complex vector (NaN if any entry is NaN)."""
+    return float(np.vdot(amplitudes, amplitudes).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +82,10 @@ class PureState:
 
     Invariants checked at construction: the amplitude count is exactly
     ``2**num_qubits`` (at most 20 qubits) and the squared norm is 1 within
-    1e-10.
+    1e-10 (so no entry is NaN or infinite).  States the package derives
+    from valid states (``apply``, ``tensor_product``, ``bloch_state``) are
+    normalized by construction and skip the copy and the check through
+    ``_trusted``.
     """
 
     amplitudes: np.ndarray
@@ -78,18 +93,30 @@ class PureState:
 
     def __post_init__(self) -> None:
         amps = _readonly(np.asarray(self.amplitudes, dtype=complex).reshape(-1))
-        n = int(self.num_qubits)
-        if n < 1 or n > MAX_PURE_QUBITS:
-            raise ValueError(f"num_qubits must be in 1..{MAX_PURE_QUBITS}, got {n}")
+        n = _check_pure_qubits(self.num_qubits)
         if amps.size != 2**n:
             raise ValueError(
                 f"expected {2**n} amplitudes for {n} qubits, got {amps.size}"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        norm_sq = _norm_sq(amps)
+        if not (abs(norm_sq - 1.0) <= NORM_TOL):
             raise ValueError(f"state not normalized: |psi|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", n)
+
+    @classmethod
+    def _trusted(cls, amplitudes: np.ndarray, num_qubits: int) -> "PureState":
+        """Wrap a state that is normalized by construction, without copy or checks.
+
+        ``amplitudes`` must be a complex vector of ``2**num_qubits`` entries
+        that the caller has just allocated; it is taken over and marked
+        read-only in place.
+        """
+        amplitudes.setflags(write=False)
+        psi = object.__new__(cls)
+        object.__setattr__(psi, "amplitudes", amplitudes)
+        object.__setattr__(psi, "num_qubits", num_qubits)
+        return psi
 
     @classmethod
     def from_amplitudes(cls, values) -> "PureState":
@@ -165,13 +192,13 @@ class DensityMatrix:
         if mat.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix, got shape {mat.shape}")
         herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_defect > HERMITICITY_TOL:
+        if not (herm_defect <= HERMITICITY_TOL):
             raise ValueError(f"matrix not Hermitian: defect {herm_defect!r}")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not (abs(tr - 1.0) <= TRACE_TOL):
             raise ValueError(f"trace must be 1, got {tr!r}")
         low = float(np.min(np.linalg.eigvalsh(mat)))
-        if low < EIGENVALUE_FLOOR:
+        if not (low >= EIGENVALUE_FLOOR):
             raise ValueError(f"operator not positive: eigenvalue {low!r}")
         object.__setattr__(self, "elements", mat)
         object.__setattr__(self, "num_qubits", n)
@@ -235,9 +262,9 @@ class Projector:
         mat = _readonly(np.asarray(self.elements, dtype=complex))
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"projector must be square, got shape {mat.shape}")
-        if float(np.max(np.abs(mat - mat.conj().T))) > PROJECTOR_TOL:
+        if not (float(np.max(np.abs(mat - mat.conj().T))) <= PROJECTOR_TOL):
             raise ValueError("projector not Hermitian")
-        if float(np.max(np.abs(mat @ mat - mat))) > PROJECTOR_TOL:
+        if not (float(np.max(np.abs(mat @ mat - mat))) <= PROJECTOR_TOL):
             raise ValueError("projector not idempotent")
         object.__setattr__(self, "elements", mat)
         object.__setattr__(self, "rank", int(self.rank))
@@ -289,10 +316,12 @@ StateLike = Union[PureState, DensityMatrix]
 def tensor_product(a: StateLike, b: StateLike) -> StateLike:
     """Kronecker composition of two states of the same kind.
 
-    The result carries a's qubits first (most significant), then b's.
+    The result carries a's qubits first (most significant), then b's.  The
+    register cap is checked before anything is built.
     """
     if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.amplitudes, b.amplitudes), a.num_qubits + b.num_qubits)
+        n = _check_pure_qubits(a.num_qubits + b.num_qubits)
+        return PureState._trusted(np.kron(a.amplitudes, b.amplitudes), n)
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
         n = _check_dense_qubits(a.num_qubits + b.num_qubits)
         return DensityMatrix._trusted(np.kron(a.elements, b.elements), n)

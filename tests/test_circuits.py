@@ -97,6 +97,18 @@ def test_chain_rejects_overlap():
         noise_chain((0, 1), 1)
 
 
+@pytest.mark.parametrize("chain", ["decoherence", "noise"])
+def test_chains_share_validation(chain):
+    build = decoherence_chain if chain == "decoherence" else (lambda a, env, width=None: noise_chain(env, a, width))
+    with pytest.raises(ValueError, match="apparatus qubit cannot be part of the environment"):
+        build(1, (2, 1))
+    with pytest.raises(ValueError, match="environment qubits must be distinct"):
+        build(0, (1, 2, 1))
+    with pytest.raises(ValueError, match="outside register of width 3"):
+        build(0, (1, 3), width=3)
+    assert build(0, (2, 1)).width == 3
+
+
 def test_noise_chain_flips_apparatus():
     # environment |1>, apparatus |0>: apparatus gets flipped
     out = apply(PureState.from_bits([1, 0]), noise_chain((0,), 1, width=2))

@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from decohere.dephasing import DephasingChannel, HamiltonianSpec
+from decohere.probability import ProbabilityVector
+from decohere.redundancy import EnvironmentRecord
 from decohere.states import (
     DensityMatrix,
     Projector,
@@ -99,6 +104,57 @@ def test_projector_rejects_non_idempotent():
 
 
 # --- tensor products ----------------------------------------------------------
+
+
+NAN = float("nan")
+INF = float("inf")
+
+# One constructor call per public boundary, each with a NaN where a
+# tolerance test reads it.  ``defect > TOL`` is False for NaN, so every
+# check is written ``not (defect <= TOL)``.
+NON_FINITE_INPUTS = {
+    "PureState": lambda: PureState(np.array([1.0, NAN]), 1),
+    "PureState-inf": lambda: PureState(np.array([INF, 0.0]), 1),
+    "DensityMatrix": lambda: DensityMatrix(np.array([[0.5, NAN], [NAN, 0.5]]), 1),
+    "DensityMatrix-diagonal": lambda: DensityMatrix(np.array([[NAN, 0.0], [0.0, 0.5]]), 1),
+    "Projector": lambda: Projector(np.array([[1.0, NAN], [NAN, 0.0]]), 1),
+    "EnvironmentRecord-weight": lambda: EnvironmentRecord(np.array([1.0, 0.0]), NAN, 1),
+    "EnvironmentRecord-amplitudes": lambda: EnvironmentRecord(np.array([NAN, 0.0]), 0.5, 1),
+    "ProbabilityVector": lambda: ProbabilityVector(np.array([NAN, 1.0])),
+    "ProbabilityVector-sum": lambda: ProbabilityVector(np.array([0.5, 0.5, NAN])),
+    "DephasingChannel": lambda: DephasingChannel(np.array([[1.0, NAN], [0.0, 1.0]]), 1.0),
+    "HamiltonianSpec": lambda: HamiltonianSpec(np.array([[0.0, NAN], [NAN, 0.0]]), np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_INPUTS))
+def test_constructors_reject_nan(name):
+    with pytest.raises(ValueError):
+        NON_FINITE_INPUTS[name]()
+
+
+def test_tensor_product_of_accepted_pure_states():
+    """Norm defects compound under kron; a product of accepted states must not raise."""
+    scale = np.sqrt(1.0 + 0.9e-10)
+    a = PureState(np.array([0.6, 0.8]) * scale, 1)
+    b = PureState(np.array([1.0, 1.0j]) / np.sqrt(2.0) * scale, 1)
+    out = tensor_product(a, b)
+    assert np.array_equal(out.amplitudes, np.kron(a.amplitudes, b.amplitudes))
+    assert out.num_qubits == 2
+    assert not out.amplitudes.flags.writeable
+    assert not np.shares_memory(out.amplitudes, a.amplitudes)
+
+
+def test_tensor_product_checks_pure_cap_before_kron():
+    a, b = PureState.basis(11, 0), PureState.basis(10, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="1..20"):
+            tensor_product(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_tensor_basis_states():

@@ -3,18 +3,22 @@ trusted construction.
 
 Each producer here wraps its result in the public ``DensityMatrix``
 constructor, which copies the array and runs the Hermiticity, trace and
-spectrum checks.  ``branch_count`` builds the whole 4^cells record register
-only to read its diagonal.  The tests compare the trusted, diagonal-only
+spectrum checks.  ``environment_record`` and ``bloch_state`` build their
+states through the public ``EnvironmentRecord`` and ``PureState``
+constructors, which copy and re-check the norm.  ``branch_count`` builds the
+whole 4^cells record register only to read its diagonal.  The tests compare the trusted, diagonal-only
 code in ``decohere`` against this.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
 
 from decohere.dephasing import DephasingChannel, _hadamard_frame, _pinch
+from decohere.redundancy import NULL_WEIGHT, EnvironmentRecord
 from decohere.states import DensityMatrix, PureState, check_qubits
 
 
@@ -38,6 +42,27 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     reduced = np.einsum(tensor, in_idx, out_idx)
     d = 2 ** len(keep_t)
     return DensityMatrix(reduced.reshape(d, d), len(keep_t))
+
+
+def environment_record(joint, phi: PureState) -> EnvironmentRecord:
+    n = joint.state.num_qubits
+    n_sys = len(joint.system)
+    tensor = joint.state.amplitudes.reshape((2,) * n)
+    phi_tensor = phi.amplitudes.conj().reshape((2,) * n_sys)
+    env_axes = list(joint.environment)
+    raw = np.einsum(tensor, list(range(n)), phi_tensor, list(joint.system), env_axes)
+    raw = raw.reshape(-1)
+    weight = float(np.sum(np.abs(raw) ** 2))
+    n_env = len(env_axes)
+    if weight <= NULL_WEIGHT:
+        return EnvironmentRecord(np.zeros(2**n_env, dtype=complex), 0.0, n_env)
+    return EnvironmentRecord(raw / math.sqrt(weight), weight, n_env)
+
+
+def bloch_state(theta: float, phi: float) -> PureState:
+    return PureState.from_amplitudes(
+        [math.cos(theta / 2.0), complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)]
+    )
 
 
 def dephase(rho: DensityMatrix, channel: DephasingChannel, t: float) -> DensityMatrix:
