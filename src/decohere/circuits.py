@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .states import PureState, check_qubits
+from .states import PureState, _trusted, check_qubits
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -240,7 +240,7 @@ def apply(state: PureState, op: Union[Gate, Circuit]) -> PureState:
             amps = _apply_run(amps, tuple(run), n)
     if amps is state.amplitudes:
         amps = amps.copy()
-    return PureState._trusted(amps, n)
+    return _trusted(PureState, "amplitudes", amps, num_qubits=n)
 
 
 def premeasurement(system: int, apparatus: int, width: Optional[int] = None) -> Circuit:

@@ -67,7 +67,7 @@ from .sieve import (
     sieve_rank,
     uniform_grid,
 )
-from .states import DensityMatrix, Projector, born_probability, partial_trace
+from .states import DensityMatrix, Projector, _require, born_probability, partial_trace
 
 BUILD_ID = f"decohere {__version__}"
 
@@ -196,8 +196,8 @@ def _run_premeasure(config: ExperimentConfig) -> ResultArtifact:
     )
     alpha = complex(p["alpha"]) if not isinstance(p["alpha"], list) else complex(*p["alpha"])
     beta = complex(p["beta"]) if not isinstance(p["beta"], list) else complex(*p["beta"])
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
-        raise ConfigError("alpha and beta must satisfy |alpha|^2 + |beta|^2 = 1")
+    message = "alpha and beta must satisfy |alpha|^2 + |beta|^2 = 1"
+    _require(abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-9, message, error=ConfigError)
     n_env = int(p["environment"])
     if n_env < 1:
         raise ConfigError("environment must hold at least one qubit")
@@ -303,8 +303,7 @@ def _run_sieve(config: ExperimentConfig) -> ResultArtifact:
         },
     )
     t_d = float(p["t_d"])
-    if t_d <= 0:
-        raise ConfigError("t_d must be positive")
+    _require(t_d > 0, "t_d must be positive", error=ConfigError)
     try:
         channel = channel_from_spec(p["basis"], t_d, 1)
     except (ValueError, TypeError, IndexError) as exc:

@@ -19,12 +19,21 @@ W diag(y) W^H with y_i = (W^H rho W)_ii, two d x d products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .states import DensityMatrix, HERMITICITY_TOL, _readonly
+from .states import (
+    DensityMatrix,
+    HERMITICITY_TOL,
+    _frame_defect,
+    _hermiticity_defect,
+    _require,
+    _square,
+    _trusted,
+)
 
 BASIS_TOL = 1e-10
 
@@ -34,6 +43,14 @@ def _hadamard_frame(num_qubits: int) -> np.ndarray:
     for _ in range(num_qubits - 1):
         frame = np.kron(frame, h1)
     return frame
+
+
+def _hadamard_entry(num_qubits: int) -> float:
+    """|entry| of ``_hadamard_frame(n)``: 1/sqrt(2) multiplied in n times, rounded as kron does."""
+    v = c = 1.0 / np.sqrt(2.0)
+    for _ in range(num_qubits - 1):
+        v *= c
+    return v
 
 
 def _is_identity(mat: np.ndarray) -> bool:
@@ -59,10 +76,7 @@ def _is_hadamard_frame(mat: np.ndarray) -> bool:
     d = mat.shape[0]
     if d < 2 or d & (d - 1):
         return False
-    c = 1.0 / np.sqrt(2.0)
-    v = c
-    for _ in range(d.bit_length() - 2):
-        v *= c
+    v = _hadamard_entry(d.bit_length() - 1)
     block = mat
     while block.shape[0] > 1:
         h = block.shape[0] // 2
@@ -88,22 +102,16 @@ class DephasingChannel:
     t_d: float
 
     def __post_init__(self) -> None:
-        mat = _readonly(np.asarray(self.basis, dtype=complex))
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
-            raise ValueError(f"pointer basis must be square and nonempty, got shape {mat.shape}")
-        d = mat.shape[0]
+        mat = _square(self.basis, "pointer basis must be square and nonempty, got shape {}")
         if _is_identity(mat):
             frame = "computational"
         elif _is_hadamard_frame(mat):
             frame = "hadamard"
         else:
             frame = "dense"
-            gram = mat.conj().T @ mat
-            defect = float(np.max(np.abs(gram - np.eye(d))))
-            if not (defect <= BASIS_TOL):
-                raise ValueError(f"pointer basis not orthonormal: defect {defect!r}")
-        if not (float(self.t_d) > 0.0):
-            raise ValueError(f"t_d must be positive, got {self.t_d!r}")
+            defect = _frame_defect(mat)
+            _require(defect <= BASIS_TOL, "pointer basis not orthonormal: defect {!r}", defect)
+        _require(float(self.t_d) > 0.0, "t_d must be positive, got {!r}", self.t_d)
         object.__setattr__(self, "basis", mat)
         object.__setattr__(self, "t_d", float(self.t_d))
         object.__setattr__(self, "_frame", frame)
@@ -157,17 +165,15 @@ class HamiltonianSpec:
     interaction_hamiltonian: np.ndarray
 
     def __post_init__(self) -> None:
-        h_self = _readonly(np.asarray(self.self_hamiltonian, dtype=complex))
-        h_int = _readonly(np.asarray(self.interaction_hamiltonian, dtype=complex))
+        h_self = _square(self.self_hamiltonian, "self Hamiltonian must be square")
+        h_int = _square(self.interaction_hamiltonian, "interaction Hamiltonian must be square")
         for name, mat in (("self", h_self), ("interaction", h_int)):
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValueError(f"{name} Hamiltonian must be square")
-            if not (float(np.max(np.abs(mat - mat.conj().T))) <= HERMITICITY_TOL):
-                raise ValueError(f"{name} Hamiltonian not Hermitian")
-        if h_int.shape[0] % h_self.shape[0] != 0:
-            raise ValueError(
-                "interaction dimension must be a multiple of the apparatus dimension"
-            )
+            defect = _hermiticity_defect(mat)
+            _require(defect <= HERMITICITY_TOL, "{} Hamiltonian not Hermitian", name)
+        _require(
+            h_int.shape[0] % h_self.shape[0] == 0,
+            "interaction dimension must be a multiple of the apparatus dimension",
+        )
         object.__setattr__(self, "self_hamiltonian", h_self)
         object.__setattr__(self, "interaction_hamiltonian", h_int)
 
@@ -213,20 +219,20 @@ def _pinch(rho: DensityMatrix, channel: DephasingChannel) -> np.ndarray:
 
 def dephase(rho: DensityMatrix, channel: DephasingChannel, t: float) -> DensityMatrix:
     """Damp pointer-frame off-diagonals by exp(-t/t_d); diagonals untouched."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
+    _require(t >= 0, "time must be nonnegative, got {!r}", t)
+    _require(t < math.inf, "time must be finite; decohered_limit is the t -> oo state")
     factor = np.exp(-t / channel.t_d)
     pinched = _pinch(rho, channel)
     # A convex mixture of two states is a state.
-    return DensityMatrix._trusted(
-        factor * rho.elements + (1.0 - factor) * pinched, rho.num_qubits
-    )
+    mixed = factor * rho.elements + (1.0 - factor) * pinched
+    return _trusted(DensityMatrix, "elements", mixed, num_qubits=rho.num_qubits)
 
 
 def decohered_limit(rho: DensityMatrix, channel: DephasingChannel) -> DensityMatrix:
     """Exact projection onto the pointer-frame diagonal (the t -> oo state)."""
-    # The pinching of a state is a state.
-    return DensityMatrix._trusted(_pinch(rho, channel), rho.num_qubits)
+    # The pinching of a state is a state (real in the Hadamard frame, so cast).
+    pinched = _pinch(rho, channel).astype(complex, copy=False)
+    return _trusted(DensityMatrix, "elements", pinched, num_qubits=rho.num_qubits)
 
 
 def pointer_commutator_defect(
@@ -239,11 +245,8 @@ def pointer_commutator_defect(
     observable; generically the self- and interaction terms fail to commute
     with any common observable and the defect stays finite.
     """
-    obs = np.asarray(observable, dtype=complex)
-    if obs.ndim != 2 or obs.shape[0] != obs.shape[1]:
-        raise ValueError("observable must be a square matrix")
-    if float(np.max(np.abs(obs - obs.conj().T))) > HERMITICITY_TOL:
-        raise ValueError("observable not Hermitian")
+    obs = _square(observable, "observable must be a square matrix")
+    _require(_hermiticity_defect(obs) <= HERMITICITY_TOL, "observable not Hermitian")
     if obs.shape[0] != hamiltonians.apparatus_dim:
         raise ValueError(
             f"observable dimension {obs.shape[0]} does not match apparatus "

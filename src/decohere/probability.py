@@ -9,12 +9,22 @@ classical sum/product rules evaluated as identities on projective events.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence, Union
 
 import numpy as np
 
 from .dephasing import DephasingChannel
-from .states import DensityMatrix, Projector, PureState, born_probability, _readonly
+from .states import (
+    DensityMatrix,
+    Projector,
+    PureState,
+    born_probability,
+    _frame_defect,
+    _hermiticity_defect,
+    _readonly,
+    _require,
+)
 
 SUM_TOL = 1e-12
 EQUAL_MAGNITUDE_TOL = 1e-10
@@ -33,11 +43,11 @@ class ProbabilityVector:
         vals = np.asarray(self.values, dtype=float).reshape(-1)
         if vals.size == 0:
             raise ValueError("probability vector must be nonempty")
-        if not np.all((vals >= -SUM_TOL) & (vals <= 1.0 + SUM_TOL)):
-            raise ValueError("probabilities must lie in [0, 1]")
+        _require(
+            np.all((vals >= -SUM_TOL) & (vals <= 1.0 + SUM_TOL)), "probabilities must lie in [0, 1]"
+        )
         total = float(vals.sum())
-        if not (abs(total - 1.0) <= SUM_TOL):
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
+        _require(abs(total - 1.0) <= SUM_TOL, "probabilities must sum to 1, got {!r}", total)
         object.__setattr__(self, "values", _readonly(np.clip(vals, 0.0, 1.0), dtype=float))
 
     def __len__(self) -> int:
@@ -90,10 +100,10 @@ def uniform_outcome_probabilities(
         raise ValueError("channel dimension does not match state")
     coeffs = channel.basis.conj().T @ psi.amplitudes
     mags = np.abs(coeffs)
-    if float(mags.max() - mags.min()) > EQUAL_MAGNITUDE_TOL:
-        raise ValueError(
-            "pointer-frame magnitudes are unequal; use born_probability directly"
-        )
+    _require(
+        float(mags.max() - mags.min()) <= EQUAL_MAGNITUDE_TOL,
+        "pointer-frame magnitudes are unequal; use born_probability directly",
+    )
     return ProbabilityVector(mags**2)
 
 
@@ -119,9 +129,9 @@ def permutation_distinguishability(
     frame = np.column_stack([np.asarray(m, dtype=complex).reshape(-1) for m in measurement])
     if frame.shape != (dim, dim):
         raise ValueError("measurement must contain dim orthonormal vectors")
-    gram_defect = float(np.max(np.abs(frame.conj().T @ frame - np.eye(dim))))
-    if gram_defect > EQUAL_MAGNITUDE_TOL:
-        raise ValueError(f"measurement basis not orthonormal: defect {gram_defect!r}")
+    defect = _frame_defect(frame)
+    message = "measurement basis not orthonormal: defect {!r}"
+    _require(defect <= EQUAL_MAGNITUDE_TOL, message, defect)
 
     permuted = np.empty_like(amps)
     permuted[perm] = amps
@@ -203,7 +213,7 @@ def sum_rule_violation(
     bm, cm, rm = b.elements, c.elements, rho.elements
     bc = bm @ cm
     # For Hermitian projectors cb = (bc)^H, so one product tests commutation.
-    if float(np.abs(bc - bc.conj().T).max()) <= COMMUTATOR_TOL:
+    if _hermiticity_defect(bc) <= COMMUTATOR_TOL:
         # join - b - c + meet is one matrix; for Hermitian rho,
         # Tr(A rho) = vdot(rho, A), so one trace gives the whole sum.
         return abs(float(np.vdot(rm, (bm + cm - bc) - bm - cm + bc).real))
@@ -222,12 +232,9 @@ def conditional_product_check(
     on commuting events).  Returns NaN - the undefined-conditional flag -
     when a conditioning event has vanishing probability.
     """
-    mats = (a.elements, b.elements, c.elements)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            defect = float(np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i])))
-            if defect > COMMUTATOR_TOL:
-                raise ValueError(f"projectors must commute pairwise, defect {defect!r}")
+    for x, y in combinations((a.elements, b.elements, c.elements), 2):
+        defect = _hermiticity_defect(x @ y)
+        _require(defect <= COMMUTATOR_TOL, "projectors must commute pairwise, defect {!r}", defect)
     mu_a = float(np.real(np.trace(a.elements @ rho.elements)))
     mu_ba = float(np.real(np.trace(b.elements @ a.elements @ rho.elements)))
     mu_cba = float(np.real(np.trace(c.elements @ b.elements @ a.elements @ rho.elements)))

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .dephasing import DephasingChannel, _hadamard_frame, decohered_limit
-from .probability import ProbabilityVector
+from .probability import UNDEFINED_CONDITIONAL, ProbabilityVector
 from .sieve import (
     DynamicsSpec,
     Horizon,
@@ -30,14 +30,17 @@ from .sieve import (
     purity_horizon,
 )
 from .states import (
+    MAX_DENSE_QUBITS,
     DensityMatrix,
     Projector,
     PureState,
+    _check_register,
+    _require,
+    _trusted,
     partial_trace,
 )
 
 RECORD_ORTHOGONALITY_TOL = 1e-10
-UNDEFINED_CONDITIONAL = float("nan")
 
 
 RecordState = Union[PureState, DensityMatrix]
@@ -82,10 +85,8 @@ class MemoryModel:
                     defect = float(
                         np.real(np.trace(_record_matrix(a) @ _record_matrix(b)))
                     )
-                if defect > RECORD_ORTHOGONALITY_TOL:
-                    raise ValueError(
-                        f"record states {i} and {j} not orthogonal: defect {defect!r}"
-                    )
+                message = "record states {} and {} not orthogonal: defect {!r}"
+                _require(defect <= RECORD_ORTHOGONALITY_TOL, message, i, j, defect)
 
     @property
     def outcome_count(self) -> int:
@@ -106,6 +107,7 @@ def correlate(model: MemoryModel) -> DensityMatrix:
     Block-diagonal in the record basis; the fixed point of any dephasing
     channel whose pointer frame contains the record states.
     """
+    n = _check_register(model.system_qubits + model.record_qubits, MAX_DENSE_QUBITS)
     total = None
     for i in range(model.outcome_count):
         sys_mat = _record_matrix(model.system_states[i])
@@ -113,7 +115,7 @@ def correlate(model: MemoryModel) -> DensityMatrix:
             sys_mat, _record_matrix(model.record_states[i])
         )
         total = block if total is None else total + block
-    return DensityMatrix._trusted(total, model.system_qubits + model.record_qubits)
+    return _trusted(DensityMatrix, "elements", total, num_qubits=n)
 
 
 def conditional_g(
@@ -154,8 +156,7 @@ def conditional_system_state(
     full = np.kron(np.eye(2**model.system_qubits, dtype=complex), rec_proj.elements)
     pinched = full @ rho_sm.elements @ full
     weight = float(np.real(np.trace(pinched)))
-    if weight < 1e-12:
-        raise ValueError(f"outcome {outcome} has no weight in the joint state")
+    _require(weight >= 1e-12, "outcome {} has no weight in the joint state", outcome)
     pinched = pinched / weight
     sys_qubits = range(model.system_qubits)
     return partial_trace(
@@ -199,6 +200,7 @@ def redundant_records(model: MemoryModel, cells: int) -> DensityMatrix:
     """Joint state with each outcome's record replicated across ``cells`` cells."""
     if cells < 1:
         raise ValueError("need at least one memory cell")
+    n = _check_register(model.system_qubits + cells * model.record_qubits, MAX_DENSE_QUBITS)
     total = None
     for i in range(model.outcome_count):
         replicated = _kron_power(_record_matrix(model.record_states[i]), cells)
@@ -206,9 +208,7 @@ def redundant_records(model: MemoryModel, cells: int) -> DensityMatrix:
             _record_matrix(model.system_states[i]), replicated
         )
         total = block if total is None else total + block
-    return DensityMatrix._trusted(
-        total, model.system_qubits + cells * model.record_qubits
-    )
+    return _trusted(DensityMatrix, "elements", total, num_qubits=n)
 
 
 def _cell_matrices(model: MemoryModel, record_basis: str) -> list[np.ndarray]:
@@ -255,8 +255,9 @@ def branch_count(
     with another pointer frame needs the whole register.
     """
     min_p = float(model.probabilities.values.min())
-    if not (0.0 < threshold < min_p):
-        raise ValueError(f"threshold must lie in (0, {min_p}), got {threshold!r}")
+    _require(
+        0.0 < threshold < min_p, "threshold must lie in (0, {}), got {!r}", min_p, threshold
+    )
     if cells < 1:
         raise ValueError("need at least one memory cell")
     cell_mats = _cell_matrices(model, record_basis)
@@ -264,10 +265,11 @@ def branch_count(
     if channel is None:
         weights = _record_register(probabilities, [m.diagonal() for m in cell_mats], cells)
     else:
-        width = cells * model.record_qubits
+        width = _check_register(cells * model.record_qubits, MAX_DENSE_QUBITS)
         if channel.dim != 2**width:
             raise ValueError("channel dimension does not match the record register")
-        rho = DensityMatrix._trusted(_record_register(probabilities, cell_mats, cells), width)
+        register = _record_register(probabilities, cell_mats, cells)
+        rho = _trusted(DensityMatrix, "elements", register, num_qubits=width)
         weights = decohered_limit(rho, channel).elements.diagonal()
     return int(np.sum(weights.real > threshold))
 
@@ -358,6 +360,6 @@ def compressibility_proxy(sequence: RecordSequence) -> float:
     bits = math.log2(a) + (n_runs - 1) * math.log2(a - 1) + n_runs * length_entropy
     raw_bits = len(sequence) * math.log2(a)
     ratio = bits / raw_bits
-    if not (0.0 < ratio <= 1.2):
-        raise AssertionError(f"compressibility ratio {ratio!r} escaped (0, 1.2]")
+    message = "compressibility ratio {!r} escaped (0, 1.2]"
+    _require(0.0 < ratio <= 1.2, message, ratio, error=AssertionError)
     return ratio

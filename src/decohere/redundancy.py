@@ -31,8 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dephasing import _hadamard_frame
-from .states import PureState, _norm_sq, _readonly, check_qubits
+from .dephasing import _hadamard_entry
+from .states import PureState, _norm_sq, _readonly, _require, _trusted, check_qubits
 
 MAX_SEARCH_QUBITS = 8
 NULL_WEIGHT = 1e-12
@@ -69,7 +69,7 @@ class EnvironmentRecord:
 
     A weight at or below 1e-12 marks a null record; null records carry a
     zero amplitude vector and are rejected by the distance search.  Records
-    from ``environment_record`` are normalized by construction and skip the
+    from ``environment_record`` are valid by construction and skip the
     copy and the checks through ``_trusted``.
     """
 
@@ -79,25 +79,15 @@ class EnvironmentRecord:
 
     def __post_init__(self) -> None:
         amps = _readonly(np.asarray(self.amplitudes, dtype=complex).reshape(-1))
-        if amps.size != 2**self.num_qubits:
-            raise ValueError("record length does not match qubit count")
+        _require(amps.size == 2**self.num_qubits, "record length does not match qubit count")
         w = float(self.weight)
-        if not (0 <= w <= 1 + 1e-9):
-            raise ValueError(f"weight must lie in [0, 1], got {w!r}")
-        if w > NULL_WEIGHT and not (abs(_norm_sq(amps) - 1.0) <= 1e-9):
-            raise ValueError("non-null record must be normalized")
+        _require(0 <= w <= 1 + 1e-9, "weight must lie in [0, 1], got {!r}", w)
+        if w > NULL_WEIGHT:
+            _require(abs(_norm_sq(amps) - 1.0) <= 1e-9, "non-null record must be normalized")
+        else:
+            _require(not amps.any(), "null record must carry zero amplitudes")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "weight", w)
-
-    @classmethod
-    def _trusted(cls, amplitudes: np.ndarray, weight: float, num_qubits: int) -> "EnvironmentRecord":
-        """Wrap a record valid by construction; ``amplitudes`` is taken over, read-only."""
-        amplitudes.setflags(write=False)
-        record = object.__new__(cls)
-        object.__setattr__(record, "amplitudes", amplitudes)
-        object.__setattr__(record, "weight", weight)
-        object.__setattr__(record, "num_qubits", num_qubits)
-        return record
 
     @property
     def is_null(self) -> bool:
@@ -163,13 +153,14 @@ def environment_record(joint: JointState, phi: PureState) -> EnvironmentRecord:
     weight = _norm_sq(raw)
     n_env = len(joint.environment)
     if weight <= NULL_WEIGHT:
-        return EnvironmentRecord._trusted(np.zeros(2**n_env, dtype=complex), 0.0, n_env)
+        zeros = np.zeros(2**n_env, dtype=complex)
+        return _trusted(EnvironmentRecord, "amplitudes", zeros, weight=0.0, num_qubits=n_env)
     # Both states are normalized, so the weight is at most 1 up to rounding.
     # Scaling the float parts by the reciprocal is what complex division by a
     # real computes, at a fifth of its cost.
     parts = raw.view(np.float64)
     np.multiply(parts, 1.0 / math.sqrt(weight), out=parts)
-    return EnvironmentRecord._trusted(raw, weight, n_env)
+    return _trusted(EnvironmentRecord, "amplitudes", raw, weight=weight, num_qubits=n_env)
 
 
 def _walsh_hadamard(rows: np.ndarray) -> np.ndarray:
@@ -303,8 +294,8 @@ def majority_decode(outcome_bits: Sequence[int]) -> int:
 def _record_basis_index(record: EnvironmentRecord) -> int:
     """Basis label of a computational-basis record (up to phase)."""
     idx = int(np.argmax(np.abs(record.amplitudes)))
-    if abs(abs(record.amplitudes[idx]) - 1.0) > MATCH_TOL:
-        raise ValueError("record is not a computational basis state")
+    peak = abs(record.amplitudes[idx])
+    _require(abs(peak - 1.0) <= MATCH_TOL, "record is not a computational basis state")
     return idx
 
 
@@ -361,13 +352,14 @@ def _hadamard_robustness(joint: JointState, n: int, k: int) -> float:
 
     Since H Z_m = X_m H, a phase flip on mask m only permutes a branch's
     Hadamard-basis weights, w_m[j] = w[j ^ m]; each branch is transformed once.
+    The amplitudes are scaled by the Hadamard frame's entry before the
+    butterflies, so a two-term record gets the very weights the frame's
+    matrix product gives (and CLI output its bytes).
     """
     plus = PureState.from_amplitudes(np.array([1.0, 1.0]) / math.sqrt(2.0))
     minus = PureState.from_amplitudes(np.array([1.0, -1.0]) / math.sqrt(2.0))
-    frame = _hadamard_frame(n)
-    weights = [
-        np.abs(frame @ environment_record(joint, s).amplitudes) ** 2 for s in (plus, minus)
-    ]
+    records = np.array([environment_record(joint, s).amplitudes for s in (plus, minus)])
+    weights = np.abs(_walsh_hadamard(records * _hadamard_entry(n))) ** 2
 
     indices = np.arange(2**n, dtype=np.intp)
     bit_of = [1 << (n - 1 - q) for q in range(n)]

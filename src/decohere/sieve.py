@@ -47,11 +47,13 @@ import numpy as np
 from .dephasing import DephasingChannel
 from .states import (
     DensityMatrix,
-    EIGENVALUE_FLOOR,
     HERMITICITY_TOL,
-    SPECTRUM_CUTOFF,
     PureState,
+    _entropies_from_spectra,
+    _hermiticity_defect,
     _readonly,
+    _require,
+    _trusted,
 )
 
 DEGENERATE_GAP = 1e-9
@@ -65,8 +67,10 @@ BLOCK_SIZE = 16
 
 def uniform_grid(t_end: float, steps: int) -> np.ndarray:
     """Evenly spaced sample times 0 .. t_end with ``steps`` intervals."""
-    if steps < 1 or t_end <= 0:
-        raise ValueError("grid needs at least one interval over positive time")
+    _require(
+        steps >= 1 and 0 < t_end < math.inf,
+        "grid needs at least one interval over positive time",
+    )
     return np.linspace(0.0, float(t_end), steps + 1)
 
 
@@ -81,20 +85,23 @@ class DynamicsSpec:
 
     def __post_init__(self) -> None:
         grid = _readonly(np.asarray(self.time_grid, dtype=float).reshape(-1), dtype=float)
-        if grid.size < 2 or grid[0] != 0.0:
-            raise ValueError("time grid must start at 0 and contain at least two points")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("time grid must be strictly increasing")
+        _require(
+            grid.size >= 2 and grid[0] == 0.0,
+            "time grid must start at 0 and contain at least two points",
+        )
+        _require(np.all(np.diff(grid) > 0), "time grid must be strictly increasing")
         cap = float(self.horizon_cap)
-        if cap < grid[-1] - 1e-12:
-            raise ValueError("horizon cap must reach at least the last grid point")
+        # A finite cap also keeps the grid finite.
+        _require(
+            grid[-1] - 1e-12 <= cap < math.inf,
+            "horizon cap must reach at least the last grid point",
+        )
         ham = self.self_hamiltonian
         if ham is not None:
-            ham = _readonly(np.asarray(ham, dtype=complex))
-            if ham.shape != (self.channel.dim, self.channel.dim):
-                raise ValueError("self-Hamiltonian dimension does not match channel")
-            if float(np.max(np.abs(ham - ham.conj().T))) > HERMITICITY_TOL:
-                raise ValueError("self-Hamiltonian not Hermitian")
+            ham = _readonly(ham)
+            d = self.channel.dim
+            _require(ham.shape == (d, d), "self-Hamiltonian dimension does not match channel")
+            _require(_hermiticity_defect(ham) <= HERMITICITY_TOL, "self-Hamiltonian not Hermitian")
         object.__setattr__(self, "time_grid", grid)
         object.__setattr__(self, "horizon_cap", cap)
         object.__setattr__(self, "self_hamiltonian", ham)
@@ -146,26 +153,10 @@ class Horizon:
 
 
 def _check_entropy_range(entropies: np.ndarray, num_qubits: int) -> None:
-    if np.any(entropies < -1e-9) or np.any(entropies > num_qubits + 1e-9):
-        raise ValueError("entropy values outside [0, num_qubits]")
-
-
-def _entropies_from_spectra(spectra: Sequence[np.ndarray]) -> np.ndarray:
-    """Entropies in bits from a spectrum given as one array per eigenvalue.
-
-    Weights at or below 1e-12 are ignored; an eigenvalue below -1e-8 means
-    the evolution lost positivity and raises.
-    """
-    low = min(float(eigs.min()) for eigs in spectra)
-    if low < EIGENVALUE_FLOOR:
-        raise ValueError(f"evolved state lost positivity: eigenvalue {low!r}")
-    total = np.zeros(spectra[0].shape)
-    for eigs in spectra:
-        terms = np.where(eigs > SPECTRUM_CUTOFF, eigs, 1.0)
-        np.log2(terms, out=terms)
-        terms *= eigs
-        total -= terms
-    return np.maximum(total, 0.0, out=total)
+    _require(
+        np.all((entropies >= -1e-9) & (entropies <= num_qubits + 1e-9)),
+        "entropy values outside [0, num_qubits]",
+    )
 
 
 def _qubit_spectra(purities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,13 +343,13 @@ def bloch_state(theta: float, phi: float) -> PureState:
     Normalized by construction for any finite angles, so built without the
     norm check.
     """
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise ValueError(f"Bloch angles must be finite, got ({theta!r}, {phi!r})")
+    message = "Bloch angles must be finite, got ({!r}, {!r})"
+    _require(math.isfinite(theta) and math.isfinite(phi), message, theta, phi)
     amps = np.array(
         [math.cos(theta / 2.0), complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0)],
         dtype=complex,
     )
-    return PureState._trusted(amps, 1)
+    return _trusted(PureState, "amplitudes", amps, num_qubits=1)
 
 
 def bloch_grid(theta_steps: int = 36, phi_steps: int = 36) -> list[tuple[float, float]]:

@@ -37,8 +37,7 @@ def _readonly(values, dtype=complex) -> np.ndarray:
 
 def _qubits_for_dim(dim: int, what: str) -> int:
     n = int(round(math.log2(dim))) if dim > 0 else -1
-    if n < 0 or 2**n != dim:
-        raise ValueError(f"{what} dimension {dim} is not a power of two")
+    _require(n >= 0 and 2**n == dim, "{} dimension {} is not a power of two", what, dim)
     return n
 
 
@@ -57,23 +56,83 @@ def check_qubits(indices: Iterable[int], width: int) -> tuple[int, ...]:
     return out
 
 
-def _check_pure_qubits(num_qubits: int) -> int:
+def _require(ok, message: str, *args, error: type = ValueError) -> None:
+    """Raise ``error(message.format(*args))`` unless ``ok``.
+
+    Every tolerance and range check on outside data goes through here.  The
+    condition is written in positive form (``defect <= TOL``, ``t >= 0``),
+    so a NaN anywhere in it fails the check; the message is formatted only
+    on failure.
+    """
+    if not ok:
+        raise error(message.format(*args))
+
+
+def _check_register(num_qubits: int, cap: int) -> int:
+    """Register width as an int in 1..cap (``MAX_PURE_QUBITS`` or ``MAX_DENSE_QUBITS``)."""
     n = int(num_qubits)
-    if n < 1 or n > MAX_PURE_QUBITS:
-        raise ValueError(f"num_qubits must be in 1..{MAX_PURE_QUBITS}, got {n}")
+    _require(1 <= n <= cap, "num_qubits must be in 1..{}, got {}", cap, n)
     return n
 
 
-def _check_dense_qubits(num_qubits: int) -> int:
-    n = int(num_qubits)
-    if n < 1 or n > MAX_DENSE_QUBITS:
-        raise ValueError(f"num_qubits must be in 1..{MAX_DENSE_QUBITS}, got {n}")
-    return n
+def _trusted(cls, name: str, array: np.ndarray, **fields):
+    """An instance of ``cls`` with ``array`` as its field ``name``: no copy, no checks.
+
+    Only for values valid by construction.  ``array`` is taken over and
+    marked read-only in place, so the caller must have just allocated it
+    (or it is read-only already); ``fields`` give the other attributes.
+    """
+    array.setflags(write=False)
+    obj = object.__new__(cls)
+    attrs = obj.__dict__
+    attrs[name] = array
+    attrs.update(fields)
+    return obj
+
+
+def _square(values, message: str) -> np.ndarray:
+    """A read-only complex copy of ``values``, checked to be a nonempty square matrix."""
+    mat = _readonly(values)
+    _require(mat.ndim == 2 and 0 < mat.shape[0] == mat.shape[1], message, mat.shape)
+    return mat
+
+
+def _hermiticity_defect(mat: np.ndarray) -> float:
+    """max |M - M^H|; NaN if M holds a NaN.
+
+    For Hermitian A and B, BA = (AB)^H, so the defect of AB is their commutator's.
+    """
+    return float(np.abs(mat - mat.conj().T).max())
+
+
+def _frame_defect(frame: np.ndarray) -> float:
+    """max |W^H W - 1|, 0 when the columns of W are orthonormal; NaN if W holds a NaN."""
+    return float(np.abs(frame.conj().T @ frame - np.eye(frame.shape[1])).max())
 
 
 def _norm_sq(amplitudes: np.ndarray) -> float:
     """Squared 2-norm of a complex vector (NaN if any entry is NaN)."""
     return float(np.vdot(amplitudes, amplitudes).real)
+
+
+def _entropies_from_spectra(spectra: Sequence[np.ndarray]) -> np.ndarray:
+    """Entropies in bits; ``spectra[k]`` is the k-th eigenvalue of every state (1-D for one).
+
+    Weights at or below 1e-12 are ignored; an eigenvalue below -1e-8 means
+    the evolution lost positivity and raises.
+    """
+    low = math.inf
+    total = np.zeros(np.shape(spectra[0]))
+    for eigs in spectra:
+        low = np.minimum(low, eigs.min())  # NaN, once any eigenvalue is NaN
+        terms = np.where(eigs > SPECTRUM_CUTOFF, eigs, 1.0)
+        np.log2(terms, out=terms)
+        terms *= eigs
+        total -= terms
+    message = "evolved state lost positivity: eigenvalue {!r}"
+    _require(low >= EIGENVALUE_FLOOR, message, float(low))
+    # An eigenvalue a few ulp above 1 can push a sum just below zero.
+    return np.maximum(total, 0.0, out=total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,30 +152,13 @@ class PureState:
 
     def __post_init__(self) -> None:
         amps = _readonly(np.asarray(self.amplitudes, dtype=complex).reshape(-1))
-        n = _check_pure_qubits(self.num_qubits)
-        if amps.size != 2**n:
-            raise ValueError(
-                f"expected {2**n} amplitudes for {n} qubits, got {amps.size}"
-            )
+        n = _check_register(self.num_qubits, MAX_PURE_QUBITS)
+        d = 2**n
+        _require(amps.size == d, "expected {} amplitudes for {} qubits, got {}", d, n, amps.size)
         norm_sq = _norm_sq(amps)
-        if not (abs(norm_sq - 1.0) <= NORM_TOL):
-            raise ValueError(f"state not normalized: |psi|^2 = {norm_sq!r}")
+        _require(abs(norm_sq - 1.0) <= NORM_TOL, "state not normalized: |psi|^2 = {!r}", norm_sq)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", n)
-
-    @classmethod
-    def _trusted(cls, amplitudes: np.ndarray, num_qubits: int) -> "PureState":
-        """Wrap a state that is normalized by construction, without copy or checks.
-
-        ``amplitudes`` must be a complex vector of ``2**num_qubits`` entries
-        that the caller has just allocated; it is taken over and marked
-        read-only in place.
-        """
-        amplitudes.setflags(write=False)
-        psi = object.__new__(cls)
-        object.__setattr__(psi, "amplitudes", amplitudes)
-        object.__setattr__(psi, "num_qubits", num_qubits)
-        return psi
 
     @classmethod
     def from_amplitudes(cls, values) -> "PureState":
@@ -125,19 +167,21 @@ class PureState:
 
     @classmethod
     def basis(cls, num_qubits: int, index: int) -> "PureState":
-        """Computational basis state |index> on ``num_qubits`` qubits."""
-        amps = np.zeros(2**num_qubits, dtype=complex)
+        """Computational basis state |index> on ``num_qubits`` qubits, 0 <= index < 2^n."""
+        d = 2 ** _check_register(num_qubits, MAX_PURE_QUBITS)
+        _require(0 <= index < d, "basis index {} outside 0..{}", index, d - 1)
+        amps = np.zeros(d, dtype=complex)
         amps[index] = 1.0
         return cls(amps, num_qubits)
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "PureState":
-        """Basis state from a bit list, qubit 0 first (big-endian)."""
-        n = len(bits)
+        """Basis state from a list of 0/1 bits, qubit 0 first (big-endian)."""
+        _require(all(b in (0, 1) for b in bits), "bits must be 0 or 1, got {}", list(bits))
         index = 0
         for b in bits:
-            index = (index << 1) | (int(b) & 1)
-        return cls.basis(n, index)
+            index = (index << 1) | int(b)
+        return cls.basis(len(bits), index)
 
     @property
     def dim(self) -> int:
@@ -149,15 +193,12 @@ class PureState:
         The 12-qubit density cap is checked here, before anything is built.
         """
         # |psi><psi| of a normalized psi is exactly Hermitian, unit-trace and rank one.
-        rho = object.__new__(DensityMatrix)
-        object.__setattr__(rho, "num_qubits", _check_dense_qubits(self.num_qubits))
-        object.__setattr__(rho, "_amplitudes", self.amplitudes)
-        return rho
+        n = _check_register(self.num_qubits, MAX_DENSE_QUBITS)
+        return _trusted(DensityMatrix, "_amplitudes", self.amplitudes, num_qubits=n)
 
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other>."""
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch in overlap")
+        _require(other.dim == self.dim, "dimension mismatch in overlap")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -186,20 +227,16 @@ class DensityMatrix:
     num_qubits: int
 
     def __post_init__(self) -> None:
-        mat = _readonly(np.asarray(self.elements, dtype=complex))
-        n = _check_dense_qubits(self.num_qubits)
+        mat = _readonly(self.elements)
+        n = _check_register(self.num_qubits, MAX_DENSE_QUBITS)
         d = 2**n
-        if mat.shape != (d, d):
-            raise ValueError(f"expected a {d}x{d} matrix, got shape {mat.shape}")
-        herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
-        if not (herm_defect <= HERMITICITY_TOL):
-            raise ValueError(f"matrix not Hermitian: defect {herm_defect!r}")
+        _require(mat.shape == (d, d), "expected a {0}x{0} matrix, got shape {1}", d, mat.shape)
+        herm_defect = _hermiticity_defect(mat)
+        _require(herm_defect <= HERMITICITY_TOL, "matrix not Hermitian: defect {!r}", herm_defect)
         tr = complex(np.trace(mat))
-        if not (abs(tr - 1.0) <= TRACE_TOL):
-            raise ValueError(f"trace must be 1, got {tr!r}")
+        _require(abs(tr - 1.0) <= TRACE_TOL, "trace must be 1, got {!r}", tr)
         low = float(np.min(np.linalg.eigvalsh(mat)))
-        if not (low >= EIGENVALUE_FLOOR):
-            raise ValueError(f"operator not positive: eigenvalue {low!r}")
+        _require(low >= EIGENVALUE_FLOOR, "operator not positive: eigenvalue {!r}", low)
         object.__setattr__(self, "elements", mat)
         object.__setattr__(self, "num_qubits", n)
 
@@ -215,28 +252,13 @@ class DensityMatrix:
         return self.__dict__.setdefault("elements", mat)
 
     @classmethod
-    def _trusted(cls, elements: np.ndarray, num_qubits: int) -> "DensityMatrix":
-        """Wrap a state that is valid by construction, without copy or checks.
-
-        ``elements`` must be an array the caller has just allocated from
-        valid states; it is taken over and marked read-only in place.
-        """
-        mat = np.asarray(elements, dtype=complex)
-        n = _check_dense_qubits(num_qubits)
-        mat.setflags(write=False)
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "elements", mat)
-        object.__setattr__(rho, "num_qubits", n)
-        return rho
-
-    @classmethod
     def from_matrix(cls, values) -> "DensityMatrix":
         mat = np.asarray(values, dtype=complex)
         return cls(mat, _qubits_for_dim(mat.shape[0], "density matrix"))
 
     @classmethod
     def maximally_mixed(cls, num_qubits: int) -> "DensityMatrix":
-        d = 2 ** _check_dense_qubits(num_qubits)
+        d = 2 ** _check_register(num_qubits, MAX_DENSE_QUBITS)
         return cls(np.eye(d, dtype=complex) / d, num_qubits)
 
     @property
@@ -259,13 +281,10 @@ class Projector:
     rank: int
 
     def __post_init__(self) -> None:
-        mat = _readonly(np.asarray(self.elements, dtype=complex))
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"projector must be square, got shape {mat.shape}")
-        if not (float(np.max(np.abs(mat - mat.conj().T))) <= PROJECTOR_TOL):
-            raise ValueError("projector not Hermitian")
-        if not (float(np.max(np.abs(mat @ mat - mat))) <= PROJECTOR_TOL):
-            raise ValueError("projector not idempotent")
+        mat = _square(self.elements, "projector must be square, got shape {}")
+        _require(_hermiticity_defect(mat) <= PROJECTOR_TOL, "projector not Hermitian")
+        idem_defect = float(np.max(np.abs(mat @ mat - mat)))
+        _require(idem_defect <= PROJECTOR_TOL, "projector not idempotent")
         object.__setattr__(self, "elements", mat)
         object.__setattr__(self, "rank", int(self.rank))
 
@@ -279,8 +298,7 @@ class Projector:
     def onto_vector(cls, vector) -> "Projector":
         v = np.asarray(vector, dtype=complex).reshape(-1)
         nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
-            raise ValueError("cannot project onto the zero vector")
+        _require(nrm >= 1e-12, "cannot project onto the zero vector")
         v = v / nrm
         return cls(np.outer(v, v.conj()), 1)
 
@@ -290,8 +308,7 @@ class Projector:
         idx = sorted(set(int(k) for k in indices))
         mat = np.zeros((dim, dim), dtype=complex)
         for k in idx:
-            if k < 0 or k >= dim:
-                raise ValueError(f"basis label {k} outside dimension {dim}")
+            _require(0 <= k < dim, "basis label {} outside dimension {}", k, dim)
             mat[k, k] = 1.0
         return cls(mat, len(idx))
 
@@ -320,11 +337,11 @@ def tensor_product(a: StateLike, b: StateLike) -> StateLike:
     register cap is checked before anything is built.
     """
     if isinstance(a, PureState) and isinstance(b, PureState):
-        n = _check_pure_qubits(a.num_qubits + b.num_qubits)
-        return PureState._trusted(np.kron(a.amplitudes, b.amplitudes), n)
+        n = _check_register(a.num_qubits + b.num_qubits, MAX_PURE_QUBITS)
+        return _trusted(PureState, "amplitudes", np.kron(a.amplitudes, b.amplitudes), num_qubits=n)
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        n = _check_dense_qubits(a.num_qubits + b.num_qubits)
-        return DensityMatrix._trusted(np.kron(a.elements, b.elements), n)
+        n = _check_register(a.num_qubits + b.num_qubits, MAX_DENSE_QUBITS)
+        return _trusted(DensityMatrix, "elements", np.kron(a.elements, b.elements), num_qubits=n)
     raise TypeError("tensor_product requires two PureStates or two DensityMatrices")
 
 
@@ -338,8 +355,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     qubits first: O(2^n 2^k) work and nothing of size 4^n.
     """
     keep_t = check_qubits(keep, rho.num_qubits)
-    if not keep_t:
-        raise ValueError("keep-set must be nonempty")
+    _require(keep_t, "keep-set must be nonempty")
     n = rho.num_qubits
     amps = rho.__dict__.get("_amplitudes")
     if amps is not None:
@@ -349,7 +365,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         # entry with at most two nonzero terms (a premeasurement register) then
         # gets the very value the full matrix gives, and CLI output its bytes.
         reduced = (m[:, None, :] * m.conj()[None, :, :]).sum(axis=-1)
-        return DensityMatrix._trusted(reduced, len(keep_t))
+        return _trusted(DensityMatrix, "elements", reduced, num_qubits=len(keep_t))
     tensor = rho.elements.reshape((2,) * (2 * n))
     in_idx = list(range(2 * n))
     for q in range(n):
@@ -361,30 +377,12 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     # With nothing traced out einsum returns a view, which stays one when the order is kept.
     if np.may_share_memory(reduced, rho.elements):
         reduced = reduced.copy()
-    return DensityMatrix._trusted(reduced, len(keep_t))
-
-
-def _entropy_bits(eigenvalues: np.ndarray) -> float:
-    """Shannon entropy in bits of a spectrum, ignoring weights below 1e-12.
-
-    Eigenvalues in [-1e-8, 0) are clipped to zero; anything more negative is
-    an invariant violation and raises.
-    """
-    eigs = np.asarray(eigenvalues, dtype=float)
-    low = float(eigs.min()) if eigs.size else 0.0
-    if low < EIGENVALUE_FLOOR:
-        raise ValueError(f"spectrum not positive: eigenvalue {low!r}")
-    kept = eigs[eigs > SPECTRUM_CUTOFF]
-    if kept.size == 0:
-        return 0.0
-    # An eigenvalue within rounding of 1 may overshoot it and push the sum
-    # a few ulp below zero; the entropy is nonnegative by definition.
-    return max(0.0, float(-np.sum(kept * np.log2(kept))))
+    return _trusted(DensityMatrix, "elements", reduced, num_qubits=len(keep_t))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Spectral entropy -Tr(rho log2 rho), in bits."""
-    return _entropy_bits(rho.eigenvalues())
+    return float(_entropies_from_spectra(rho.eigenvalues()))
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -404,6 +402,5 @@ def born_probability(rho: DensityMatrix, projector: Projector) -> float:
             f"projector dimension {projector.dim} does not match state dimension {rho.dim}"
         )
     value = float(np.real(np.einsum("ij,ji->", projector.elements, rho.elements)))
-    if value < -1e-9 or value > 1.0 + 1e-9:
-        raise ValueError(f"Born probability {value!r} outside [0, 1]")
+    _require(-1e-9 <= value <= 1.0 + 1e-9, "Born probability {!r} outside [0, 1]", value)
     return min(1.0, max(0.0, value))

@@ -23,7 +23,25 @@ from decohere.sieve import (
     Horizon,
     SieveReport,
 )
-from decohere.states import DensityMatrix, PureState, _entropy_bits
+from decohere.states import EIGENVALUE_FLOOR, SPECTRUM_CUTOFF, DensityMatrix, PureState
+
+
+def _entropy_bits(eigenvalues: np.ndarray) -> float:
+    """Shannon entropy in bits of one spectrum, ignoring weights below 1e-12.
+
+    Eigenvalues in [-1e-8, 0) are clipped to zero; anything more negative is
+    an invariant violation and raises.
+    """
+    eigs = np.asarray(eigenvalues, dtype=float)
+    low = float(eigs.min()) if eigs.size else 0.0
+    if low < EIGENVALUE_FLOOR:
+        raise ValueError(f"spectrum not positive: eigenvalue {low!r}")
+    kept = eigs[eigs > SPECTRUM_CUTOFF]
+    if kept.size == 0:
+        return 0.0
+    # An eigenvalue within rounding of 1 may overshoot it and push the sum
+    # a few ulp below zero; the entropy is nonnegative by definition.
+    return max(0.0, float(-np.sum(kept * np.log2(kept))))
 
 
 def _entropies_from_stack(stack: np.ndarray) -> np.ndarray:

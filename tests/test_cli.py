@@ -67,6 +67,16 @@ def test_invariant_violation_exits_3(tmp_path, capsys):
     assert "invariant violation" in capsys.readouterr().err
 
 
+def test_premeasure_nan_amplitude_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {"experiment": "premeasure", "params": {"alpha": math.nan}, "out": str(tmp_path / "x.csv")},
+    )
+    assert main(["--config", cfg]) == 2
+    assert "config error: alpha and beta must satisfy" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_premeasure_beyond_density_cap_exits_3(tmp_path, capsys):
     # 1 system + 1 apparatus + 18 environment qubits: a 20-qubit register,
     # whose 4^20-entry density matrix must be refused, not allocated.

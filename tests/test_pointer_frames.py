@@ -156,7 +156,7 @@ def _two_branch_joint(n_env: int) -> JointState:
     return JointState(PureState(amps, n), (s,), tuple(q for q in range(n) if q != s))
 
 
-@pytest.mark.parametrize("n_env", range(1, 8))
+@pytest.mark.parametrize("n_env", range(1, 9))
 def test_error_robustness_matches_pattern_enumeration(n_env):
     for _ in range(3):
         joint = _two_branch_joint(n_env)
@@ -167,6 +167,17 @@ def test_error_robustness_matches_pattern_enumeration(n_env):
             if n_env % 2:
                 want = frame_oracle._pointer_robustness(n_env, k)
                 assert error_robustness(joint, "pointer", k) == want
+
+
+@pytest.mark.parametrize("n_env", range(1, 9))
+def test_ghz_robustness_equals_dense_frame_exactly(n_env):
+    """Two-term records, as the CLI's GHZ states give, get the dense frame's very bits."""
+    amps = np.zeros(2 ** (n_env + 1), dtype=complex)
+    amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
+    joint = JointState(PureState(amps, n_env + 1), (0,), tuple(range(1, n_env + 1)))
+    for k in range(n_env + 1):
+        want = frame_oracle._hadamard_robustness(joint, n_env, k)
+        assert error_robustness(joint, "hadamard", k) == want
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -118,6 +118,13 @@ def test_permutation_rejects_skew_measurement():
         permutation_distinguishability(psi, perm, skew)
 
 
+def test_permutation_rejects_nan_measurement_as_not_orthonormal():
+    psi, perm, measurement = worked_example()
+    measurement = [measurement[0] * np.nan] + list(measurement[1:])
+    with pytest.raises(ValueError, match="orthonormal"):
+        permutation_distinguishability(psi, perm, measurement)
+
+
 # --- coarse graining ---------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from decohere.states import DensityMatrix, PureState, partial_trace, tensor_product
+from decohere.states import DensityMatrix, PureState, _trusted, partial_trace, tensor_product
 
 RNG = np.random.default_rng(6161)
 TOL = 1e-12
@@ -24,6 +24,12 @@ MB = 2**20
 def _random_pure(n: int) -> PureState:
     amps = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
     return PureState(amps / np.linalg.norm(amps), n)
+
+
+def _full_matrix(psi: PureState) -> DensityMatrix:
+    """|psi><psi| held as the full matrix (no amplitudes kept), unchecked."""
+    mat = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    return _trusted(DensityMatrix, "elements", mat, num_qubits=psi.num_qubits)
 
 
 def _peak_bytes(fn):
@@ -71,7 +77,7 @@ def test_materialised_elements_equal_outer_product_bytes(n):
 def test_partial_trace_from_amplitudes_matches_full_matrix(n):
     psi = _random_pure(n)
     rank_one = psi.to_density_matrix()
-    full = DensityMatrix._trusted(np.outer(psi.amplitudes, psi.amplitudes.conj()), n)
+    full = _full_matrix(psi)
     assert "_amplitudes" not in vars(full)
     keeps = list(_keep_sets(n))
     assert tuple(range(n)) in keeps
@@ -98,7 +104,7 @@ def test_partial_trace_of_two_term_states_equals_full_matrix_values():
         pair = RNG.normal(size=2) + 1j * RNG.normal(size=2)
         amps[RNG.choice(2**n, size=2, replace=False)] = pair / np.linalg.norm(pair)
         psi = PureState(amps, n)
-        full = DensityMatrix._trusted(np.outer(psi.amplitudes, psi.amplitudes.conj()), n)
+        full = _full_matrix(psi)
         keep = tuple(int(q) for q in RNG.permutation(n)[: int(RNG.integers(1, n + 1))])
         got = partial_trace(psi.to_density_matrix(), keep).elements
         assert np.array_equal(got, partial_trace(full, keep).elements)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,28 @@ def test_single_cell_matches_correlate():
     assert np.allclose(
         redundant_records(model, 1).elements, correlate(model).elements, atol=1e-14
     )
+
+
+def _raises_before_allocating(request) -> None:
+    """``request`` must refuse a 13-qubit register at once, not after building 1 GB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="num_qubits must be in 1..12, got 13"):
+            request()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_registers_check_dense_cap_before_building():
+    wide = MemoryModel(
+        probabilities=ProbabilityVector([0.5, 0.5]),
+        system_states=(PureState.basis(1, 0), PureState.basis(1, 1)),
+        record_states=(PureState.basis(12, 0), PureState.basis(12, 1)),
+    )
+    _raises_before_allocating(lambda: correlate(wide))
+    _raises_before_allocating(lambda: redundant_records(two_outcome_model(), 12))
 
 
 def test_three_cell_replication_occupies_two_branches():

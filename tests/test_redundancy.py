@@ -88,6 +88,14 @@ def test_record_null_for_orthogonal_conditioning():
     rec = environment_record(joint, PureState.basis(1, 1))
     assert rec.is_null
     assert rec.weight == 0.0
+    # The unchecked null output passes the public check.
+    assert EnvironmentRecord(rec.amplitudes, rec.weight, rec.num_qubits).is_null
+
+
+@pytest.mark.parametrize("amps", [[1.0, 0.0], [0.0, 1e-7j]])
+def test_null_record_must_carry_zero_amplitudes(amps):
+    with pytest.raises(ValueError, match="null record must carry zero amplitudes"):
+        EnvironmentRecord(np.array(amps), 0.0, 1)
 
 
 def test_record_weights_sum_to_one():

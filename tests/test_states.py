@@ -3,9 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from decohere.dephasing import DephasingChannel, HamiltonianSpec
+from decohere import states
+from sieve_oracle import _entropy_bits
+from decohere.dephasing import (
+    DephasingChannel,
+    HamiltonianSpec,
+    dephase,
+    pointer_commutator_defect,
+)
 from decohere.probability import ProbabilityVector
 from decohere.redundancy import EnvironmentRecord
+from decohere.sieve import DynamicsSpec, EntropyTrajectory, uniform_grid
 from decohere.states import (
     DensityMatrix,
     Projector,
@@ -103,15 +111,40 @@ def test_projector_rejects_non_idempotent():
         Projector.from_matrix(np.eye(2) * 0.5)
 
 
+@pytest.mark.parametrize("n, index", [(2, -1), (2, 4), (1, 2), (3, -8)])
+def test_basis_rejects_index_outside_register(n, index):
+    with pytest.raises(ValueError, match="basis index"):
+        PureState.basis(n, index)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_basis_accepts_every_index_in_register(n):
+    for index in range(2**n):
+        assert PureState.basis(n, index).amplitudes[index] == 1.0
+
+
+@pytest.mark.parametrize("bits", [[1, 2, 0], [0, -1], [3], [1, 0.5]])
+def test_from_bits_rejects_non_binary_entries(bits):
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        PureState.from_bits(bits)
+
+
+def test_from_bits_is_big_endian():
+    assert np.flatnonzero(PureState.from_bits([1, 0, 0]).amplitudes).tolist() == [4]
+    assert np.flatnonzero(PureState.from_bits([0, 1, 1]).amplitudes).tolist() == [3]
+
+
 # --- tensor products ----------------------------------------------------------
 
 
 NAN = float("nan")
 INF = float("inf")
 
-# One constructor call per public boundary, each with a NaN where a
-# tolerance test reads it.  ``defect > TOL`` is False for NaN, so every
-# check is written ``not (defect <= TOL)``.
+# One call per public boundary, each with a NaN where a tolerance or range
+# test reads it.  ``defect > TOL`` is False for NaN, so every check states
+# the condition that must hold (``defect <= TOL``) and raises unless it does.
+QUBIT_CHANNEL = DephasingChannel.computational(1, 1.0)
+QUBIT_GRID = np.linspace(0.0, 2.0, 3)
 NON_FINITE_INPUTS = {
     "PureState": lambda: PureState(np.array([1.0, NAN]), 1),
     "PureState-inf": lambda: PureState(np.array([INF, 0.0]), 1),
@@ -124,6 +157,25 @@ NON_FINITE_INPUTS = {
     "ProbabilityVector-sum": lambda: ProbabilityVector(np.array([0.5, 0.5, NAN])),
     "DephasingChannel": lambda: DephasingChannel(np.array([[1.0, NAN], [0.0, 1.0]]), 1.0),
     "HamiltonianSpec": lambda: HamiltonianSpec(np.array([[0.0, NAN], [NAN, 0.0]]), np.eye(2)),
+    "EnvironmentRecord-null": lambda: EnvironmentRecord(np.array([NAN, 0.0]), 0.0, 1),
+    "DynamicsSpec-hamiltonian": lambda: DynamicsSpec(
+        QUBIT_CHANNEL, QUBIT_GRID, 2.0, self_hamiltonian=np.array([[NAN, 0.0], [0.0, 0.0]])
+    ),
+    "DynamicsSpec-grid": lambda: DynamicsSpec(QUBIT_CHANNEL, np.array([0.0, NAN, 2.0]), 2.0),
+    "DynamicsSpec-cap": lambda: DynamicsSpec(QUBIT_CHANNEL, QUBIT_GRID, NAN),
+    "DynamicsSpec-inf": lambda: DynamicsSpec(QUBIT_CHANNEL, np.array([0.0, 1.0, INF]), INF),
+    "uniform_grid": lambda: uniform_grid(NAN, 4),
+    "dephase": lambda: dephase(DensityMatrix.maximally_mixed(1), QUBIT_CHANNEL, NAN),
+    # exp(-t/t_d) is NaN for t = t_d = inf.
+    "dephase-inf": lambda: dephase(
+        DensityMatrix.maximally_mixed(1), DephasingChannel.computational(1, INF), INF
+    ),
+    "pointer_commutator_defect": lambda: pointer_commutator_defect(
+        HamiltonianSpec(np.eye(2), np.eye(4)), np.array([[NAN, 0.0], [0.0, 1.0]])
+    ),
+    "EntropyTrajectory": lambda: EntropyTrajectory(
+        QUBIT_GRID, np.array([0.0, NAN, 1.0]), np.ones(3), 1.0, 0.5, 1
+    ),
 }
 
 
@@ -225,6 +277,38 @@ def test_partial_trace_rejects_duplicates():
 
 
 # --- entropy and purity --------------------------------------------------------
+
+
+def _random_spectrum(n: int) -> np.ndarray:
+    """2^n weights of about unit sum: some zero, some below the 1e-12 cutoff
+    and one a rounding negative in [-1e-8, 0)."""
+    eigs = RNG.exponential(size=2**n) * (RNG.uniform(size=2**n) < 0.7)
+    eigs[RNG.integers(2**n)] += 0.1
+    eigs /= eigs.sum()
+    slots = RNG.integers(2**n, size=min(3, 2**n))
+    eigs[slots[0]] = RNG.uniform(-1e-8, 0.0)
+    eigs[slots[1:]] = RNG.uniform(0.0, 1e-12, size=slots.size - 1)
+    return eigs
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batched_entropy_matches_per_spectrum_loop(n):
+    spectra = np.array([_random_spectrum(n) for _ in range(40)] + [np.eye(2**n)[0]])
+    want = [_entropy_bits(eigs) for eigs in spectra]
+    batched = states._entropies_from_spectra(spectra.T)
+    assert np.max(np.abs(batched - want)) <= 1e-12
+    single = [float(states._entropies_from_spectra(eigs)) for eigs in spectra]
+    assert np.max(np.abs(np.subtract(single, want))) <= 1e-12
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_entropy_of_spectrum_with_nan_raises(k):
+    eigs = np.full(3, 0.5)
+    eigs[k] = NAN
+    with pytest.raises(ValueError, match="lost positivity"):
+        states._entropies_from_spectra(eigs)
+    with pytest.raises(ValueError, match="lost positivity"):
+        states._entropies_from_spectra(np.tile(eigs, (4, 1)).T)
 
 
 def test_entropy_pure_state_is_zero():
