@@ -308,9 +308,13 @@ def _run_sieve(config: ExperimentConfig) -> ResultArtifact:
         channel = channel_from_spec(p["basis"], t_d, 1)
     except (ValueError, TypeError, IndexError) as exc:
         raise ConfigError(f"bad pointer basis: {exc}") from exc
-    steps = int(round(float(p["cap"]) / float(p["step"])))
-    grid = uniform_grid(float(p["cap"]) * t_d, steps)
-    dyn = DynamicsSpec(channel, grid, float(p["cap"]) * t_d)
+    step, cap = float(p["step"]), float(p["cap"])
+    for name, value in (("step", step), ("cap", cap)):
+        message = "{} must be positive and finite, got {!r}"
+        _require(0.0 < value < math.inf, message, name, value, error=ConfigError)
+    steps = int(round(cap / step))
+    grid = uniform_grid(cap * t_d, steps)
+    dyn = DynamicsSpec(channel, grid, cap * t_d)
 
     angles = bloch_grid(int(p["theta_steps"]), int(p["phi_steps"]))
     candidates = [bloch_state(theta, phi) for theta, phi in angles]

@@ -10,11 +10,28 @@ resolved.
 
 ``decohered_limit`` is the pinching Pi onto the pointer-frame diagonal and
 ``dephase`` is f rho + (1 - f) Pi(rho), f = exp(-t/t_d).  Only this module
-applies a frame.  A channel's basis is matched exactly, once, against the
-two named frames, which skip the Gram check; Pi then takes one exact form:
-computational, diag(diag rho); Hadamard, the X-Pauli twirl
-Pi[j, k] = s[j ^ k] / d with s[m] = sum_j rho[j, j ^ m]; any other frame W,
-W diag(y) W^H with y_i = (W^H rho W)_ii, two d x d products.
+applies a frame.
+
+The two named frames, computational and Hadamard, stay implicit: a channel
+from ``computational``, ``hadamard`` or a named ``channel_from_spec`` holds
+its frame kind, width and t_d, and builds ``basis`` only when it is read.  A
+matrix given to the constructor is matched exactly against the two named
+frames, which skip the Gram check.  Pi takes one form per frame:
+
+* computational: diag(diag rho).  ``dephase`` writes rho (psi psi^H for a
+  pure input) into its output once, scales it by f in place and rewrites
+  the diagonal.
+* Hadamard: the X-Pauli twirl Pi[j, k] = s[j ^ k] / d with
+  s[m] = sum_j rho[j, j ^ m], real for Hermitian rho.  A pure input gives
+  s = WHT(|WHT psi|^2) / d in O(n 2^n), WHT the unnormalized
+  Walsh-Hadamard transform; a full matrix is summed row by row, in j order.
+  The table s[j ^ k] is laid out by row blocks, with no index table, and
+  is the only d x d temporary.
+* any other frame W: W diag(y) W^H with y_i = (W^H rho W)_ii, two d x d
+  products.
+
+In the named frames a pure input (``PureState.to_density_matrix``) is read
+through its amplitudes only, so its 4^n ``elements`` are never built.
 """
 
 from __future__ import annotations
@@ -28,6 +45,8 @@ import numpy as np
 from .states import (
     DensityMatrix,
     HERMITICITY_TOL,
+    MAX_DENSE_QUBITS,
+    _check_register,
     _frame_defect,
     _hermiticity_defect,
     _require,
@@ -51,6 +70,21 @@ def _hadamard_entry(num_qubits: int) -> float:
     for _ in range(num_qubits - 1):
         v *= c
     return v
+
+
+def _walsh_hadamard(rows: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of each row, by butterfly passes.
+
+    out[:, z] = sum_j (-1)^popcount(j & z) rows[:, j]; rows have 2^n entries.
+    """
+    count, d = rows.shape
+    half = 1
+    while half < d:
+        pairs = rows.reshape(count, d // (2 * half), 2, half)
+        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+        rows = np.stack((lo + hi, lo - hi), axis=2).reshape(count, d)
+        half *= 2
+    return rows
 
 
 def _is_identity(mat: np.ndarray) -> bool:
@@ -91,11 +125,17 @@ def _is_hadamard_frame(mat: np.ndarray) -> bool:
     return bool(block[0, 0] == v)
 
 
+def _checked_t_d(t_d) -> float:
+    _require(float(t_d) > 0.0, "t_d must be positive, got {!r}", t_d)
+    return float(t_d)
+
+
 @dataclass(frozen=True, eq=False)
 class DephasingChannel:
     """Pointer frame plus decoherence timescale.
 
-    ``basis`` holds the pointer states as columns of a unitary matrix.
+    ``basis`` holds the pointer states as columns of a unitary matrix.  A
+    channel in a named frame builds it, read-only, on first read.
     """
 
     basis: np.ndarray
@@ -111,27 +151,53 @@ class DephasingChannel:
             frame = "dense"
             defect = _frame_defect(mat)
             _require(defect <= BASIS_TOL, "pointer basis not orthonormal: defect {!r}", defect)
-        _require(float(self.t_d) > 0.0, "t_d must be positive, got {!r}", self.t_d)
+        object.__setattr__(self, "t_d", _checked_t_d(self.t_d))
         object.__setattr__(self, "basis", mat)
-        object.__setattr__(self, "t_d", float(self.t_d))
         object.__setattr__(self, "_frame", frame)
+        object.__setattr__(self, "_dim", mat.shape[0])
+
+    @classmethod
+    def _named(cls, frame: str, num_qubits: int, t_d: float) -> "DephasingChannel":
+        """A channel in the computational or Hadamard frame: nothing built, nothing to check."""
+        n = _check_register(num_qubits, MAX_DENSE_QUBITS)
+        obj = object.__new__(cls)
+        obj.__dict__.update(t_d=_checked_t_d(t_d), _frame=frame, _dim=2**n)
+        return obj
 
     @classmethod
     def computational(cls, num_qubits: int, t_d: float) -> "DephasingChannel":
-        return cls(np.eye(2**num_qubits, dtype=complex), t_d)
+        return cls._named("computational", num_qubits, t_d)
 
     @classmethod
     def hadamard(cls, num_qubits: int, t_d: float) -> "DephasingChannel":
         """Channel einselecting the |+>/|-> product frame."""
-        return cls(_hadamard_frame(num_qubits), t_d)
+        return cls._named("hadamard", num_qubits, t_d)
 
     @classmethod
     def from_states(cls, states: Sequence[np.ndarray], t_d: float) -> "DephasingChannel":
         return cls(np.column_stack([np.asarray(s, dtype=complex).reshape(-1) for s in states]), t_d)
 
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails: ``basis`` of a named channel
+        # not yet read.  A racing first read may build a second, equal frame;
+        # setdefault keeps one of them for every reader.
+        frame = self.__dict__.get("_frame") if name == "basis" else None
+        if frame is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        d = self._dim
+        if frame == "computational":
+            mat = np.eye(d, dtype=complex)
+        else:
+            mat = _hadamard_frame(d.bit_length() - 1)
+        mat.setflags(write=False)
+        return self.__dict__.setdefault("basis", mat)
+
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self._dim
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"DephasingChannel(frame={self._frame!r}, dim={self._dim}, t_d={self.t_d!r})"
 
 
 def channel_from_spec(spec, t_d: float, num_qubits: int) -> DephasingChannel:
@@ -155,6 +221,16 @@ def channel_from_spec(spec, t_d: float, num_qubits: int) -> DephasingChannel:
             f"pointer-basis matrix must be {2**num_qubits}x{2**num_qubits}, got {mat.shape}"
         )
     return DephasingChannel(mat, t_d)
+
+
+def _pointer_coefficients(channel: DephasingChannel, amplitudes: np.ndarray) -> np.ndarray:
+    """W^H psi, the coefficients of a state vector in the channel's pointer frame."""
+    if channel._frame == "computational":
+        return amplitudes
+    if channel._frame == "hadamard":
+        n = channel.dim.bit_length() - 1
+        return _walsh_hadamard((amplitudes * _hadamard_entry(n))[None])[0]
+    return channel.basis.conj().T @ amplitudes
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,19 +276,50 @@ def _check_dims(rho: DensityMatrix, channel: DephasingChannel) -> None:
         )
 
 
-def _pinch(rho: DensityMatrix, channel: DephasingChannel) -> np.ndarray:
-    """Projection of rho onto the pointer-frame diagonal, in the register frame."""
-    _check_dims(rho, channel)
-    elements = rho.elements
-    if channel._frame == "computational":
-        return np.diag(elements.diagonal())
-    if channel._frame == "hadamard":
-        idx = np.arange(rho.dim)
-        xor = idx[:, None] ^ idx[None, :]
-        # s[m] is real for Hermitian rho: its conjugate sums rho[j ^ m, j].
-        s = np.bincount(xor.ravel(), weights=elements.real.ravel(), minlength=rho.dim)
-        return (s / rho.dim)[xor]
-    w = channel.basis
+def _diagonal(rho: DensityMatrix) -> np.ndarray:
+    """The diagonal of rho; of a pure input, |psi_j|^2 as np.outer rounds it."""
+    amps = rho.__dict__.get("_amplitudes")
+    return rho.elements.diagonal() if amps is None else amps * amps.conj()
+
+
+def _xor_sums(rho: DensityMatrix) -> np.ndarray:
+    """s[m] = sum_j Re rho[j, j ^ m], the sums the Hadamard-frame pinching spreads."""
+    amps = rho.__dict__.get("_amplitudes")
+    if amps is not None:
+        # For rho = psi psi^H, |WHT psi|^2 = WHT s, and WHT WHT = d.
+        spectrum = _walsh_hadamard(amps[None])
+        power = spectrum.real**2 + spectrum.imag**2
+        return _walsh_hadamard(power)[0] / rho.dim
+    # Row by row, in the order (and so with the rounding) of a bincount over j ^ k.
+    real = rho.elements.real
+    cols = np.arange(rho.dim)
+    sums = np.zeros(rho.dim)
+    for j in range(rho.dim):
+        sums += real[j, cols ^ j]
+    return sums
+
+
+def _spread_xor(values: np.ndarray, out: np.ndarray) -> None:
+    """Fill the real d x d ``out`` (a view is fine) with out[j, k] = values[j ^ k].
+
+    Rows size..2 size-1 are rows 0..size-1 with their column blocks of
+    ``size`` swapped in pairs, since (j + size) ^ k = j ^ (k ^ size).
+    """
+    d = values.size
+    out[0] = values
+    size = 1
+    while size < d:
+        shape = (size, d // (2 * size), 2, size)
+        # Splitting an axis never copies, so dst is a view into out.
+        src = out[:size].reshape(shape)
+        dst = out[size : 2 * size].reshape(shape)
+        dst[:, :, 0] = src[:, :, 1]
+        dst[:, :, 1] = src[:, :, 0]
+        size *= 2
+
+
+def _dense_pinch(elements: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """W diag(y) W^H with y_i = (W^H rho W)_ii."""
     y = np.vecdot(w, elements @ w, axis=0)
     return (w * y) @ w.conj().T
 
@@ -221,17 +328,43 @@ def dephase(rho: DensityMatrix, channel: DephasingChannel, t: float) -> DensityM
     """Damp pointer-frame off-diagonals by exp(-t/t_d); diagonals untouched."""
     _require(t >= 0, "time must be nonnegative, got {!r}", t)
     _require(t < math.inf, "time must be finite; decohered_limit is the t -> oo state")
+    _check_dims(rho, channel)
     factor = np.exp(-t / channel.t_d)
-    pinched = _pinch(rho, channel)
     # A convex mixture of two states is a state.
-    mixed = factor * rho.elements + (1.0 - factor) * pinched
+    if channel._frame == "dense":
+        elements = rho.elements
+        mixed = factor * elements + (1.0 - factor) * _dense_pinch(elements, channel.basis)
+        return _trusted(DensityMatrix, "elements", mixed, num_qubits=rho.num_qubits)
+    amps = rho.__dict__.get("_amplitudes")
+    if amps is None:
+        mixed = factor * rho.elements
+    else:
+        mixed = np.outer(amps, amps.conj())
+        mixed *= factor
+    if channel._frame == "computational":
+        # Pi adds +0 off the diagonal, turning -0.0 parts into +0.0: the same bytes.
+        mixed += 0.0
+        diag = _diagonal(rho)
+        np.fill_diagonal(mixed, factor * diag + (1.0 - factor) * diag)
+    else:
+        table = np.empty((rho.dim, rho.dim))
+        _spread_xor((1.0 - factor) * (_xor_sums(rho) / rho.dim), table)
+        # Added as table + 0j, as f rho + (1 - f) Pi adds a real Pi.
+        mixed += table
     return _trusted(DensityMatrix, "elements", mixed, num_qubits=rho.num_qubits)
 
 
 def decohered_limit(rho: DensityMatrix, channel: DephasingChannel) -> DensityMatrix:
     """Exact projection onto the pointer-frame diagonal (the t -> oo state)."""
-    # The pinching of a state is a state (real in the Hadamard frame, so cast).
-    pinched = _pinch(rho, channel).astype(complex, copy=False)
+    _check_dims(rho, channel)
+    # The pinching of a state is a state.
+    if channel._frame == "computational":
+        pinched = np.diag(_diagonal(rho))
+    elif channel._frame == "hadamard":
+        pinched = np.zeros((rho.dim, rho.dim), dtype=complex)
+        _spread_xor(_xor_sums(rho) / rho.dim, pinched.real)
+    else:
+        pinched = _dense_pinch(rho.elements, channel.basis)
     return _trusted(DensityMatrix, "elements", pinched, num_qubits=rho.num_qubits)
 
 

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .dephasing import DephasingChannel
+from .dephasing import DephasingChannel, _pointer_coefficients
 from .states import (
     DensityMatrix,
     Projector,
@@ -98,7 +98,7 @@ def uniform_outcome_probabilities(
     """
     if channel.dim != psi.dim:
         raise ValueError("channel dimension does not match state")
-    coeffs = channel.basis.conj().T @ psi.amplitudes
+    coeffs = _pointer_coefficients(channel, psi.amplitudes)
     mags = np.abs(coeffs)
     _require(
         float(mags.max() - mags.min()) <= EQUAL_MAGNITUDE_TOL,

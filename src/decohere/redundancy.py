@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dephasing import _hadamard_entry
+from .dephasing import _hadamard_entry, _walsh_hadamard
 from .states import PureState, _norm_sq, _readonly, _require, _trusted, check_qubits
 
 MAX_SEARCH_QUBITS = 8
@@ -161,21 +161,6 @@ def environment_record(joint: JointState, phi: PureState) -> EnvironmentRecord:
     parts = raw.view(np.float64)
     np.multiply(parts, 1.0 / math.sqrt(weight), out=parts)
     return _trusted(EnvironmentRecord, "amplitudes", raw, weight=weight, num_qubits=n_env)
-
-
-def _walsh_hadamard(rows: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of each row, by butterfly passes.
-
-    out[:, z] = sum_j (-1)^popcount(j & z) rows[:, j]; rows have 2^n entries.
-    """
-    count, d = rows.shape
-    half = 1
-    while half < d:
-        pairs = rows.reshape(count, d // (2 * half), 2, half)
-        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
-        rows = np.stack((lo + hi, lo - hi), axis=2).reshape(count, d)
-        half *= 2
-    return rows
 
 
 def _flip_labels(x_mask: int, z_mask: int, n: int) -> tuple[str, ...]:

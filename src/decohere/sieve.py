@@ -134,6 +134,10 @@ class EntropyTrajectory:
         pur = _readonly(np.asarray(self.purities, dtype=float), dtype=float)
         if not (times.size == ent.size == pur.size):
             raise ValueError("trajectory arrays must have equal length")
+        _require(np.all(np.isfinite(times)), "trajectory times must be finite")
+        _require(
+            np.all((pur >= -1e-9) & (pur <= 1.0 + 1e-9)), "purity values outside [0, 1]"
+        )
         _check_entropy_range(ent, self.num_qubits)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "entropies", ent)

@@ -94,6 +94,25 @@ def test_premeasure_beyond_density_cap_exits_3(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"step": 0}, "step must be positive and finite, got 0.0"),
+        ({"step": -0.1}, "step must be positive and finite, got -0.1"),
+        ({"cap": math.nan}, "cap must be positive and finite, got nan"),
+        ({"cap": math.inf}, "cap must be positive and finite, got inf"),
+    ],
+    ids=["step-zero", "step-negative", "cap-nan", "cap-inf"],
+)
+def test_sieve_bad_step_or_cap_is_a_config_error(tmp_path, capsys, params, message):
+    cfg = write_config(
+        tmp_path, {"experiment": "sieve", "params": params, "out": str(tmp_path / "x.csv")}
+    )
+    assert main(["--config", cfg]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

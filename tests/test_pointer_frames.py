@@ -77,6 +77,7 @@ def test_named_frames_and_equal_matrices_take_structured_paths():
 
 @pytest.mark.parametrize("n", [1, 4, 10])
 def test_named_hadamard_channel_builds_its_frame_once(n, monkeypatch):
+    """None at construction, one on the first ``basis`` read, none after."""
     calls = []
 
     def counted(num_qubits):
@@ -84,10 +85,14 @@ def test_named_hadamard_channel_builds_its_frame_once(n, monkeypatch):
         return _hadamard_frame(num_qubits)
 
     monkeypatch.setattr(dephasing, "_hadamard_frame", counted)
-    assert DephasingChannel.hadamard(n, 1.0)._frame == "hadamard"
-    assert calls == [n]
-    assert channel_from_spec("hadamard", 1.0, n)._frame == "hadamard"
-    assert calls == [n, n]
+    for channel in (DephasingChannel.hadamard(n, 1.0), channel_from_spec("hadamard", 1.0, n)):
+        assert channel._frame == "hadamard" and channel.dim == 2**n
+        assert calls == []
+        first = channel.basis
+        assert calls == [n]
+        assert channel.basis is first
+        assert calls == [n]
+        calls.clear()
 
 
 def test_identity_check_accepts_exactly_what_array_equal_accepts():

@@ -176,6 +176,12 @@ NON_FINITE_INPUTS = {
     "EntropyTrajectory": lambda: EntropyTrajectory(
         QUBIT_GRID, np.array([0.0, NAN, 1.0]), np.ones(3), 1.0, 0.5, 1
     ),
+    "EntropyTrajectory-times": lambda: EntropyTrajectory(
+        np.array([0.0, NAN, 2.0]), np.array([0.0, 0.5, 1.0]), np.ones(3), 1.0, 0.5, 1
+    ),
+    "EntropyTrajectory-purities": lambda: EntropyTrajectory(
+        QUBIT_GRID, np.array([0.0, 0.5, 1.0]), np.array([1.0, NAN, 0.5]), 1.0, 0.5, 1
+    ),
 }
 
 

@@ -17,9 +17,10 @@ from typing import Iterable
 
 import numpy as np
 
-from decohere.dephasing import DephasingChannel, _hadamard_frame, _pinch
+from decohere.dephasing import DephasingChannel, _hadamard_frame
 from decohere.redundancy import NULL_WEIGHT, EnvironmentRecord
 from decohere.states import DensityMatrix, PureState, check_qubits
+from pinch_oracle import _pinch
 
 
 def to_density_matrix(psi: PureState) -> DensityMatrix:
