@@ -7,7 +7,10 @@ The config file holds one experiment: its name, a parameter object, and
 optionally a seed, output path and format (command-line flags override the
 file).  Artifacts embed a canonical echo of the scientific config and the
 build identifier; identical config plus seed reproduces identical bytes.
-Exit codes: 0 success, 2 config error, 3 invariant violation during a run.
+Every parameter is converted and checked once, before the run, by one
+converter per kind of value.  Exit codes: 0 success, 2 config error (any
+parameter of the wrong type or outside its range), 3 invariant violation
+during a run.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -54,6 +57,7 @@ from .records import (
     outcome_horizon,
 )
 from .redundancy import (
+    MAX_SEARCH_QUBITS,
     JointState,
     PureState,
     environment_record,
@@ -67,13 +71,26 @@ from .sieve import (
     sieve_rank,
     uniform_grid,
 )
-from .states import DensityMatrix, Projector, _require, born_probability, partial_trace
+from .states import (
+    MAX_DENSE_QUBITS,
+    MAX_PURE_QUBITS,
+    DensityMatrix,
+    Projector,
+    _require,
+    born_probability,
+    partial_trace,
+)
 
 BUILD_ID = f"decohere {__version__}"
 
 
 class ConfigError(Exception):
     """Bad experiment configuration; maps to exit code 2."""
+
+
+_JSON_ONLY = "experiment '{}' emits JSON; use --format json"
+# Largest sieve time grid: 10^6 steps of 12 candidates peak near 334 MB.
+_MAX_SIEVE_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -117,10 +134,7 @@ class ResultArtifact:
                 doc["notes"] = self.comments
             return json.dumps(doc, sort_keys=True, indent=2) + "\n"
         if fmt == "csv":
-            if self.payload is not None:
-                raise ConfigError(
-                    f"experiment '{self.experiment}' emits JSON; use --format json"
-                )
+            _require(self.payload is None, _JSON_ONLY, self.experiment, error=ConfigError)
             buf = io.StringIO()
             buf.write(f"# config: {self.config_echo}\r\n")
             buf.write(f"# build: {BUILD_ID}\r\n")
@@ -163,53 +177,91 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _take_params(params: dict, experiment: str, defaults: dict) -> dict:
-    merged = dict(defaults)
-    for key, value in params.items():
-        if key not in defaults:
-            raise ConfigError(
-                f"invalid parameter '{key}' for experiment '{experiment}' "
-                f"(known: {', '.join(sorted(defaults))})"
-            )
-        merged[key] = value
-    return merged
+# Parameter converters: one per kind of value, every failure a config error.
 
 
-def _require_seed(config: ExperimentConfig) -> int:
-    if config.seed is None:
-        raise ConfigError(
-            f"experiment '{config.experiment}' samples stochastically and needs a seed"
-        )
-    return int(config.seed)
+def _number(value, name: str) -> float:
+    """A JSON number (not a boolean) as a float; NaN and infinities pass."""
+    ok = type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+    _require(ok, "{} must be a number, got {!r}", name, value, error=ConfigError)
+    return float(value)
+
+
+def _positive(value, name: str) -> float:
+    number = _number(value, name)
+    message = "{} must be positive and finite, got {!r}"
+    _require(0.0 < number < math.inf, message, name, number, error=ConfigError)
+    return number
+
+
+def _integer(value, name: str, lo: int, hi: float) -> int:
+    """A JSON integer, or an integral float, in lo..hi (``hi`` may be inf)."""
+    ok = type(value) in (int, float) and lo <= value <= hi and value % 1 == 0
+    message = "{} must be an integer in {}..{}, got {!r}"
+    _require(ok, message, name, lo, hi, value, error=ConfigError)
+    return int(value)
+
+
+def _complex(value, name: str) -> complex:
+    """A JSON number or an [re, im] pair of numbers, as a complex."""
+    pair = value if isinstance(value, list) else [value, 0.0]
+    message = "{} must be a number or an [re, im] pair, got {!r}"
+    _require(len(pair) == 2, message, name, value, error=ConfigError)
+    return complex(_number(pair[0], name), _number(pair[1], name))
+
+
+def _listed(convert: Callable, value, name: str, *bounds) -> list:
+    """A JSON list, each entry read by ``convert(entry, name, *bounds)``."""
+    _require(isinstance(value, list), "{} must be a list, got {!r}", name, value, error=ConfigError)
+    return [convert(entry, name, *bounds) for entry in value]
+
+
+def _built(what: str, build: Callable, *args):
+    """``build(*args)``: a library value checked at its own boundary, as config."""
+    try:
+        return build(*args)
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: each reads its parameters through the converters, then runs
 # ---------------------------------------------------------------------------
 
 
-def _run_premeasure(config: ExperimentConfig) -> ResultArtifact:
-    p = _take_params(
-        config.params,
-        "premeasure",
-        {"alpha": 0.6, "beta": 0.8, "environment": 3, "environment_bits": None},
-    )
-    alpha = complex(p["alpha"]) if not isinstance(p["alpha"], list) else complex(*p["alpha"])
-    beta = complex(p["beta"]) if not isinstance(p["beta"], list) else complex(*p["beta"])
+class _Experiment(NamedTuple):
+    run: Callable[[dict, Optional[int]], dict]
+    defaults: dict
+    seeded: bool
+    json_only: bool
+
+
+EXPERIMENTS: dict[str, _Experiment] = {}
+
+
+def _experiment(name: str, seeded: bool = False, json_only: bool = False, **defaults):
+    """Register the decorated runner as experiment ``name`` with its parameter defaults."""
+    def register(runner: Callable[[dict, Optional[int]], dict]):
+        EXPERIMENTS[name] = _Experiment(runner, defaults, seeded, json_only)
+        return runner
+    return register
+
+
+@_experiment("premeasure", alpha=0.6, beta=0.8, environment=3, environment_bits=None)
+def _run_premeasure(p: dict, seed: Optional[int]) -> dict:
+    alpha, beta = _complex(p["alpha"], "alpha"), _complex(p["beta"], "beta")
+    # The squared parts overflow to inf, never to an exception.
+    norm_sq = sum(x * x for x in (alpha.real, alpha.imag, beta.real, beta.imag))
     message = "alpha and beta must satisfy |alpha|^2 + |beta|^2 = 1"
-    _require(abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-9, message, error=ConfigError)
-    n_env = int(p["environment"])
-    if n_env < 1:
-        raise ConfigError("environment must hold at least one qubit")
-    env_bits = p["environment_bits"]
-    if env_bits is None:
-        env_bits = [0] * n_env
-    if len(env_bits) != n_env or any(b not in (0, 1) for b in env_bits):
-        raise ConfigError("environment_bits must list one 0/1 value per environment qubit")
+    _require(abs(norm_sq - 1.0) <= 1e-9, message, error=ConfigError)
+    # The 2 + n qubit register must fit a pure state; the density cap is a run invariant.
+    n_env = _integer(p["environment"], "environment", 1, MAX_PURE_QUBITS - 2)
+    bits = p["environment_bits"]
+    bits = _listed(_integer, [0] * n_env if bits is None else bits, "environment_bits", 0, 1)
+    message = "environment_bits must list one 0/1 value per environment qubit"
+    _require(len(bits) == n_env, message, error=ConfigError)
     width = 2 + n_env
-    env_index = 0
-    for b in env_bits:
-        env_index = (env_index << 1) | b
+    env_index = sum(b << i for i, b in enumerate(reversed(bits)))
     amps = np.zeros(2**width, dtype=complex)
     amps[env_index] = alpha
     amps[2 ** (width - 1) + env_index] = beta
@@ -228,14 +280,12 @@ def _run_premeasure(config: ExperimentConfig) -> ResultArtifact:
         "p11": float(rho_sa.elements[3, 3].real),
         "max_offdiag": float(np.max(np.abs(off))),
     }
-    art = ResultArtifact(
-        experiment="premeasure",
-        config_echo=config.echo(),
-        columns=["alpha", "beta", "p00", "p11", "max_offdiag"],
-        rows=[row],
-    )
-    art.comments = [f"circuit: {line}" for line in (record.to_text() + "\n" + monitor.to_text()).splitlines()]
-    return art
+    gates = (record.to_text() + "\n" + monitor.to_text()).splitlines()
+    return {
+        "columns": ["alpha", "beta", "p00", "p11", "max_offdiag"],
+        "rows": [row],
+        "comments": [f"circuit: {line}" for line in gates],
+    }
 
 
 def _ghz_joint(n_env: int) -> JointState:
@@ -246,16 +296,12 @@ def _ghz_joint(n_env: int) -> JointState:
     return JointState(state, (0,), tuple(range(1, n_env + 1)))
 
 
-def _run_redundancy(config: ExperimentConfig) -> ResultArtifact:
-    p = _take_params(
-        config.params, "redundancy", {"sizes": [3, 5, 7], "max_errors": 2}
-    )
-    sizes = [int(n) for n in p["sizes"]]
-    max_errors = int(p["max_errors"])
-    if any(n < 1 or n > 8 for n in sizes):
-        raise ConfigError("sizes must lie in 1..8 (exhaustive flip search cap)")
-    if any(n % 2 == 0 for n in sizes):
-        raise ConfigError("sizes must be odd so the majority vote cannot tie")
+@_experiment("redundancy", sizes=[3, 5, 7], max_errors=2)
+def _run_redundancy(p: dict, seed: Optional[int]) -> dict:
+    sizes = _listed(_integer, p["sizes"], "sizes", 1, MAX_SEARCH_QUBITS)
+    message = "sizes must be odd so the majority vote cannot tie"
+    _require(all(n % 2 == 1 for n in sizes), message, error=ConfigError)
+    max_errors = _integer(p["max_errors"], "max_errors", 0, math.inf)
 
     rows = []
     plus = PureState.from_amplitudes(np.array([1.0, 1.0]) / math.sqrt(2.0))
@@ -281,42 +327,28 @@ def _run_redundancy(config: ExperimentConfig) -> ResultArtifact:
                         "d_conjugate": d_conjugate,
                     }
                 )
-    return ResultArtifact(
-        experiment="redundancy",
-        config_echo=config.echo(),
-        columns=["N", "basis", "k", "patterns", "success_rate", "d_pointer", "d_conjugate"],
-        rows=rows,
-    )
+    return {
+        "columns": ["N", "basis", "k", "patterns", "success_rate", "d_pointer", "d_conjugate"],
+        "rows": rows,
+    }
 
 
-def _run_sieve(config: ExperimentConfig) -> ResultArtifact:
-    p = _take_params(
-        config.params,
-        "sieve",
-        {
-            "t_d": 1.0,
-            "theta_steps": 36,
-            "phi_steps": 36,
-            "step": 0.1,
-            "cap": 50.0,
-            "basis": "computational",
-        },
-    )
-    t_d = float(p["t_d"])
-    _require(t_d > 0, "t_d must be positive", error=ConfigError)
-    try:
-        channel = channel_from_spec(p["basis"], t_d, 1)
-    except (ValueError, TypeError, IndexError) as exc:
-        raise ConfigError(f"bad pointer basis: {exc}") from exc
-    step, cap = float(p["step"]), float(p["cap"])
-    for name, value in (("step", step), ("cap", cap)):
-        message = "{} must be positive and finite, got {!r}"
-        _require(0.0 < value < math.inf, message, name, value, error=ConfigError)
-    steps = int(round(cap / step))
-    grid = uniform_grid(cap * t_d, steps)
-    dyn = DynamicsSpec(channel, grid, cap * t_d)
+@_experiment(
+    "sieve", t_d=1.0, theta_steps=36, phi_steps=36, step=0.1, cap=50.0, basis="computational"
+)
+def _run_sieve(p: dict, seed: Optional[int]) -> dict:
+    t_d = _positive(p["t_d"], "t_d")
+    channel = _built("pointer basis", channel_from_spec, p["basis"], t_d, 1)
+    step, cap = _positive(p["step"], "step"), _positive(p["cap"], "cap")
+    steps = round(min(cap / step, _MAX_SIEVE_STEPS + 1))
+    message = f"cap / step must round to 1..{_MAX_SIEVE_STEPS} steps, got {{!r}}"
+    _require(1 <= steps <= _MAX_SIEVE_STEPS, message, cap / step, error=ConfigError)
+    horizon = _positive(cap * t_d, "the horizon cap * t_d")
+    theta_steps = _integer(p["theta_steps"], "theta_steps", 1, math.inf)
+    phi_steps = _integer(p["phi_steps"], "phi_steps", 1, math.inf)
 
-    angles = bloch_grid(int(p["theta_steps"]), int(p["phi_steps"]))
+    dyn = DynamicsSpec(channel, uniform_grid(horizon, steps), horizon)
+    angles = bloch_grid(theta_steps, phi_steps)
     candidates = [bloch_state(theta, phi) for theta, phi in angles]
     labels = [f"theta={theta:.6f},phi={phi:.6f}" for theta, phi in angles]
     reports = sieve_rank(candidates, dyn, labels=labels, angles=angles)
@@ -331,29 +363,35 @@ def _run_sieve(config: ExperimentConfig) -> ResultArtifact:
         }
         for r in reports
     ]
-    return ResultArtifact(
-        experiment="sieve",
-        config_echo=config.echo(),
-        columns=["theta", "phi", "t_p", "t_p_capped", "tprime_p", "final_entropy_bits"],
-        rows=rows,
-    )
+    return {
+        "columns": ["theta", "phi", "t_p", "t_p_capped", "tprime_p", "final_entropy_bits"],
+        "rows": rows,
+    }
 
 
-def _run_probability(config: ExperimentConfig) -> ResultArtifact:
-    p = _take_params(
-        config.params,
-        "probability",
-        {"uniform_n": 4, "p": [1.0 / 3.0, 2.0 / 3.0], "m_start": 4, "m_doublings": 8},
-    )
-    seed = _require_seed(config)
+@_experiment(
+    "probability",
+    seeded=True,
+    json_only=True,
+    uniform_n=4,
+    p=[1.0 / 3.0, 2.0 / 3.0],
+    m_start=4,
+    m_doublings=8,
+)
+def _run_probability(p: dict, seed: Optional[int]) -> dict:
+    # The 2^k outcome state must fit a pure state; the channel cap is a run invariant.
+    n_outcomes = _integer(p["uniform_n"], "uniform_n", 2, 2**MAX_PURE_QUBITS)
+    message = "uniform_n must be a power of two"
+    _require(n_outcomes & (n_outcomes - 1) == 0, message, error=ConfigError)
+    weights = _built("p", ProbabilityVector, _listed(_number, p["p"], "p"))
+    # M = m_start * 2^m_doublings stays below 2^53, so every cell count is exact as a float.
+    m = _integer(p["m_start"], "m_start", len(weights), 2**20)
+    m_doublings = _integer(p["m_doublings"], "m_doublings", 0, 32)
     rng = np.random.default_rng(seed)
     results: dict = {}
 
     # Equal-magnitude superposition with random phases -> flat outcomes.
-    n_outcomes = int(p["uniform_n"])
-    num_qubits = max(1, (n_outcomes - 1).bit_length())
-    if 2**num_qubits != n_outcomes:
-        raise ConfigError("uniform_n must be a power of two")
+    num_qubits = n_outcomes.bit_length() - 1
     phases = rng.uniform(0.0, 2.0 * math.pi, size=n_outcomes)
     psi = PureState.from_amplitudes(np.exp(1j * phases) / math.sqrt(n_outcomes))
     channel = DephasingChannel.computational(num_qubits, 1.0)
@@ -380,10 +418,8 @@ def _run_probability(config: ExperimentConfig) -> ResultArtifact:
     }
 
     # Coarse-graining sweep: deviation shrinks like 1/M.
-    weights = ProbabilityVector(np.asarray(p["p"], dtype=float))
     sweep = []
-    m = int(p["m_start"])
-    for _ in range(int(p["m_doublings"]) + 1):
+    for _ in range(m_doublings + 1):
         grouping = coarse_grain(weights, m)
         _, deviation = reconstruct_reduced(grouping)
         sweep.append(
@@ -426,32 +462,28 @@ def _run_probability(config: ExperimentConfig) -> ResultArtifact:
     results["conditional_product"] = {
         "defect": conditional_product_check(mixed, a_p, b_p, c_p)
     }
-
-    return ResultArtifact(
-        experiment="probability", config_echo=config.echo(), payload=results
-    )
+    return {"payload": results}
 
 
-def _run_records(config: ExperimentConfig) -> ResultArtifact:
-    p = _take_params(
-        config.params,
-        "records",
-        {"cells_max": 10, "t_d": 1.0, "alpha": 0.6, "beta": 0.8, "seq_length": 1024},
-    )
-    seed = _require_seed(config)
+@_experiment("records", seeded=True, cells_max=10, t_d=1.0, alpha=0.6, beta=0.8, seq_length=1024)
+def _run_records(p: dict, seed: Optional[int]) -> dict:
+    cells_max = _integer(p["cells_max"], "cells_max", 1, MAX_DENSE_QUBITS)
+    t_d = _positive(p["t_d"], "t_d")
+    t_cap = _positive(50.0 * t_d, "the horizon 50 * t_d")
+    amplitudes = [_number(p["alpha"], "alpha"), _number(p["beta"], "beta")]
+    message = "alpha and beta must lie in [-1, 1], got {!r}"
+    _require(all(abs(a) <= 1.0 for a in amplitudes), message, amplitudes, error=ConfigError)
+    weights = _built("alpha and beta", ProbabilityVector, [a**2 for a in amplitudes])
+    length = _integer(p["seq_length"], "seq_length", 16, math.inf)
     rng = np.random.default_rng(seed)
-    t_d = float(p["t_d"])
-    if not 1 <= int(p["cells_max"]) <= 12:
-        raise ConfigError("cells_max must lie in 1..12 (dense register cap)")
-    alpha, beta = float(p["alpha"]), float(p["beta"])
     model = MemoryModel(
-        probabilities=ProbabilityVector([alpha**2, beta**2]),
+        probabilities=weights,
         system_states=(PureState.basis(1, 0), PureState.basis(1, 1)),
         record_states=(PureState.basis(1, 1), PureState.basis(1, 0)),
     )
     rows = []
 
-    for cells in range(1, int(p["cells_max"]) + 1):
+    for cells in range(1, cells_max + 1):
         for basis in ("pointer", "conjugate"):
             rows.append(
                 {
@@ -488,11 +520,7 @@ def _run_records(config: ExperimentConfig) -> ResultArtifact:
         ),
         record_states=(PureState.basis(1, 1), PureState.basis(1, 0)),
     )
-    dyn = DynamicsSpec(
-        DephasingChannel.computational(1, t_d),
-        uniform_grid(50.0 * t_d, 2500),
-        50.0 * t_d,
-    )
+    dyn = DynamicsSpec(DephasingChannel.computational(1, t_d), uniform_grid(t_cap, 2500), t_cap)
     for outcome, basis in ((0, "pointer"), (1, "conjugate")):
         horizon = outcome_horizon(conj_model, dyn, outcome)
         rows.append(
@@ -504,7 +532,6 @@ def _run_records(config: ExperimentConfig) -> ResultArtifact:
         )
 
     # Compressibility proxy on constant, alternating, and seeded-random records.
-    length = int(p["seq_length"])
     constant = RecordSequence.constant(0, length, (0, 1))
     alternating = RecordSequence(tuple(i % 2 for i in range(length)), (0, 1))
     random_seq = RecordSequence(tuple(int(b) for b in rng.integers(0, 2, length)), (0, 1))
@@ -520,13 +547,10 @@ def _run_records(config: ExperimentConfig) -> ResultArtifact:
                 "compress_ratio": compressibility_proxy(seq),
             }
         )
-
-    return ResultArtifact(
-        experiment="records",
-        config_echo=config.echo(),
-        columns=["experiment", "N", "basis", "branches", "g_t", "horizon", "compress_ratio"],
-        rows=rows,
-    )
+    return {
+        "columns": ["experiment", "N", "basis", "branches", "g_t", "horizon", "compress_ratio"],
+        "rows": rows,
+    }
 
 
 def observer_lists(
@@ -546,10 +570,9 @@ def observer_lists(
     L_A2.  Returns the pairwise list agreement fractions.
     """
     for name, value in (("prepare_basis", prepare_basis), ("measure_basis", measure_basis)):
-        if value not in ("pointer", "conjugate"):
-            raise ConfigError(f"{name} must be 'pointer' or 'conjugate'")
-    if ensemble < 1:
-        raise ConfigError("ensemble must be positive")
+        message = "{} must be 'pointer' or 'conjugate'"
+        _require(value in ("pointer", "conjugate"), message, name, error=ConfigError)
+    _require(ensemble >= 1, "ensemble must be positive", error=ConfigError)
     rng = np.random.default_rng(seed)
     channel = DephasingChannel.computational(1, t_d)
     hadamard = _hadamard_frame(1)
@@ -595,54 +618,25 @@ def observer_lists(
     }
 
 
-def _run_observer_lists(config: ExperimentConfig) -> ResultArtifact:
-    p = _take_params(
-        config.params,
-        "observer-lists",
-        {
-            "prepare_basis": "pointer",
-            "measure_basis": "pointer",
-            "ensemble": 1000,
-            "t_d": 1.0,
-        },
-    )
-    seed = _require_seed(config)
-    outcome = observer_lists(
-        str(p["prepare_basis"]),
-        str(p["measure_basis"]),
-        int(p["ensemble"]),
-        seed,
-        float(p["t_d"]),
-    )
+@_experiment(
+    "observer-lists",
+    seeded=True,
+    prepare_basis="pointer",
+    measure_basis="pointer",
+    ensemble=1000,
+    t_d=1.0,
+)
+def _run_observer_lists(p: dict, seed: Optional[int]) -> dict:
+    ensemble = _integer(p["ensemble"], "ensemble", 1, math.inf)
+    t_d = _positive(p["t_d"], "t_d")
+    outcome = observer_lists(p["prepare_basis"], p["measure_basis"], ensemble, seed, t_d)
+    columns = ["pair", "agreement", "ensemble", "prepare_basis", "measure_basis"]
+    pairs = (("L_A:L_B", "a_b"), ("L_A:L_A2", "a_a2"), ("L_B:L_A2", "b_a2"))
+    shared = {column: outcome[column] for column in columns[2:]}
     rows = [
-        {"pair": "L_A:L_B", "agreement": outcome["agreement_a_b"]},
-        {"pair": "L_A:L_A2", "agreement": outcome["agreement_a_a2"]},
-        {"pair": "L_B:L_A2", "agreement": outcome["agreement_b_a2"]},
+        {"pair": pair, "agreement": outcome[f"agreement_{key}"], **shared} for pair, key in pairs
     ]
-    for row in rows:
-        row.update(
-            {
-                "ensemble": outcome["ensemble"],
-                "prepare_basis": outcome["prepare_basis"],
-                "measure_basis": outcome["measure_basis"],
-            }
-        )
-    return ResultArtifact(
-        experiment="observer-lists",
-        config_echo=config.echo(),
-        columns=["pair", "agreement", "ensemble", "prepare_basis", "measure_basis"],
-        rows=rows,
-    )
-
-
-EXPERIMENTS = {
-    "premeasure": _run_premeasure,
-    "redundancy": _run_redundancy,
-    "sieve": _run_sieve,
-    "probability": _run_probability,
-    "records": _run_records,
-    "observer-lists": _run_observer_lists,
-}
+    return {"columns": columns, "rows": rows}
 
 
 def load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
@@ -651,41 +645,40 @@ def load_config(path: str, overrides: argparse.Namespace) -> ExperimentConfig:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    known = {"experiment", "params", "seed", "out", "format"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {', '.join(sorted(unknown))}")
+    _require(isinstance(raw, dict), "config must be a JSON object", error=ConfigError)
+    unknown = ", ".join(sorted(set(raw) - {"experiment", "params", "seed", "out", "format"}))
+    _require(not unknown, "unknown config fields: {}", unknown, error=ConfigError)
     experiment = raw.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {experiment!r}; choose one of: "
-            + ", ".join(sorted(EXPERIMENTS))
-        )
+    message = "unknown experiment {!r}; choose one of: {}"
+    ok = isinstance(experiment, str) and experiment in EXPERIMENTS
+    _require(ok, message, experiment, ", ".join(sorted(EXPERIMENTS)), error=ConfigError)
     params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("params must be a JSON object")
+    _require(isinstance(params, dict), "params must be a JSON object", error=ConfigError)
     seed = overrides.seed if overrides.seed is not None else raw.get("seed")
+    seed = None if seed is None else _integer(seed, "seed", 0, math.inf)
     out = overrides.out or raw.get("out") or f"{experiment.replace('-', '_')}.csv"
-    fmt = overrides.format or raw.get("format") or ("json" if experiment == "probability" else "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError("format must be 'csv' or 'json'")
-    return ExperimentConfig(
-        experiment=experiment,
-        params=params,
-        seed=None if seed is None else int(seed),
-        out=str(out),
-        fmt=fmt,
-    )
+    _require(isinstance(out, str), "out must be a path string, got {!r}", out, error=ConfigError)
+    default_fmt = "json" if EXPERIMENTS[experiment].json_only else "csv"
+    fmt = overrides.format or raw.get("format") or default_fmt
+    _require(fmt in ("csv", "json"), "format must be 'csv' or 'json'", error=ConfigError)
+    return ExperimentConfig(experiment=experiment, params=params, seed=seed, out=out, fmt=fmt)
 
 
 def run(config: ExperimentConfig) -> ResultArtifact:
-    """Execute one experiment and write its artifact atomically."""
+    """Check the config against its experiment, run it and write its artifact atomically."""
+    name, spec = config.experiment, EXPERIMENTS[config.experiment]
+    known = ", ".join(sorted(spec.defaults))
+    for key in config.params:
+        message = "invalid parameter '{}' for experiment '{}' (known: {})"
+        _require(key in spec.defaults, message, key, name, known, error=ConfigError)
+    message = "experiment '{}' samples stochastically and needs a seed"
+    _require(config.seed is not None or not spec.seeded, message, name, error=ConfigError)
+    _require(config.fmt == "json" or not spec.json_only, _JSON_ONLY, name, error=ConfigError)
     started = time.perf_counter()
-    artifact = EXPERIMENTS[config.experiment](config)
+    result = spec.run({**spec.defaults, **config.params}, config.seed)
+    artifact = ResultArtifact(experiment=name, config_echo=config.echo(), **result)
     artifact.duration_s = time.perf_counter() - started
     artifact.write(config.out, config.fmt)
     return artifact

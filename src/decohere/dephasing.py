@@ -9,8 +9,11 @@ diagonal at t >> t_d while forming a semigroup; per-pair rates are not
 resolved.
 
 ``decohered_limit`` is the pinching Pi onto the pointer-frame diagonal and
-``dephase`` is f rho + (1 - f) Pi(rho), f = exp(-t/t_d).  Only this module
-applies a frame.
+``dephase`` is f rho + (1 - f) Pi(rho), f = exp(-t/t_d).  Frames are also
+applied outside this module: ``sieve`` evolves candidates in the pointer
+frame (``_pointer_frames``, ``evolve_entropy``, ``_split_step``) and
+``records`` turns record cells into the Hadamard frame (``_cell_matrices``,
+``record_consensus``).
 
 The two named frames, computational and Hadamard, stay implicit: a channel
 from ``computational``, ``hadamard`` or a named ``channel_from_spec`` holds

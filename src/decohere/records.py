@@ -107,15 +107,7 @@ def correlate(model: MemoryModel) -> DensityMatrix:
     Block-diagonal in the record basis; the fixed point of any dephasing
     channel whose pointer frame contains the record states.
     """
-    n = _check_register(model.system_qubits + model.record_qubits, MAX_DENSE_QUBITS)
-    total = None
-    for i in range(model.outcome_count):
-        sys_mat = _record_matrix(model.system_states[i])
-        block = model.probabilities[i] * np.kron(
-            sys_mat, _record_matrix(model.record_states[i])
-        )
-        total = block if total is None else total + block
-    return _trusted(DensityMatrix, "elements", total, num_qubits=n)
+    return redundant_records(model, 1)
 
 
 def conditional_g(

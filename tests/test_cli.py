@@ -2,8 +2,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+from decohere import cli
 from decohere.cli import (
     ConfigError,
     ExperimentConfig,
@@ -54,17 +56,93 @@ def test_missing_seed_for_stochastic_experiment_exits_2(tmp_path, capsys):
 
 
 def test_invariant_violation_exits_3(tmp_path, capsys):
+    # uniform_n = 8192 is a valid parameter whose 13-qubit channel exceeds the density cap.
     cfg = write_config(
         tmp_path,
         {
-            "experiment": "records",
-            "params": {"t_d": -1.0},
+            "experiment": "probability",
+            "params": {"uniform_n": 8192},
             "seed": 3,
-            "out": str(tmp_path / "x.csv"),
+            "out": str(tmp_path / "x.json"),
         },
     )
     assert main(["--config", cfg]) == 3
-    assert "invariant violation" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invariant violation: num_qubits must be in 1..12, got 13" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+# Each config is malformed in one parameter: (id, experiment, params, file seed, extra argv,
+# the parameter the message must name).
+BAD_PARAMETERS = [
+    ("records-alpha-null", "records", {"alpha": None}, 3, [], "alpha"),
+    ("sieve-theta-zero", "sieve", {"theta_steps": 0}, None, [], "theta_steps"),
+    ("sieve-step-count-overflows", "sieve", {"cap": 1e300, "step": 1e-300}, None, [], "cap / step"),
+    ("sieve-step-count-rounds-to-zero", "sieve", {"cap": 50, "step": 100}, None, [], "cap / step"),
+    # Each value is in range, but the horizon cap * t_d (or 50 * t_d) overflows to inf.
+    ("sieve-horizon-overflows", "sieve", {"cap": 1e200, "t_d": 1e200, "step": 1e196}, None, [],
+     "cap * t_d"),
+    ("records-horizon-overflows", "records", {"t_d": 1e307}, 3, [], "50 * t_d"),
+    ("redundancy-sizes-not-a-list", "redundancy", {"sizes": 5}, None, [], "sizes"),
+    ("premeasure-environment-null", "premeasure", {"environment": None}, None, [], "environment"),
+    ("observer-ensemble-null", "observer-lists", {"ensemble": None}, 3, [], "ensemble"),
+    ("records-alpha-nan", "records", {"alpha": math.nan}, 3, [], "alpha"),
+    ("records-t_d-negative", "records", {"t_d": -1}, 3, [], "t_d"),
+    ("records-seq_length-short", "records", {"seq_length": 3}, 3, [], "seq_length"),
+    ("sieve-phi-zero", "sieve", {"phi_steps": 0}, None, [], "phi_steps"),
+    ("sieve-t_d-inf", "sieve", {"t_d": math.inf}, None, [], "t_d"),
+    ("sieve-theta-string", "sieve", {"theta_steps": "a"}, None, [], "theta_steps"),
+    ("probability-m_start-zero", "probability", {"m_start": 0}, 3, [], "m_start"),
+    ("probability-p-nan", "probability", {"p": [0.5, math.nan]}, 3, [], "p"),
+    ("observer-t_d-zero", "observer-lists", {"t_d": 0}, 3, [], "t_d"),
+    ("seed-string", "observer-lists", {}, "abc", [], "seed"),
+    ("seed-negative", "observer-lists", {}, -1, [], "seed"),
+    ("seed-flag-negative", "observer-lists", {}, None, ["--seed", "-1"], "seed"),
+    ("redundancy-max_errors-negative", "redundancy", {"max_errors": -1}, None, [], "max_errors"),
+    ("premeasure-environment-fraction", "premeasure", {"environment": 2.7}, None, [], "environment"),
+    ("premeasure-alpha-short-pair", "premeasure", {"alpha": [0.6]}, None, [], "alpha"),
+    ("premeasure-alpha-string", "premeasure", {"alpha": "0.6"}, None, [], "alpha"),
+    ("records-cells_max-fraction", "records", {"cells_max": 2.5}, 3, [], "cells_max"),
+    ("probability-m_doublings-negative", "probability", {"m_doublings": -1}, 3, [], "m_doublings"),
+    ("probability-uniform_n-string", "probability", {"uniform_n": "4"}, 3, [], "uniform_n"),
+    ("seed-fraction", "observer-lists", {}, 1.7, [], "seed"),
+    ("seed-boolean", "observer-lists", {}, True, [], "seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, params, seed, argv, name",
+    [case[1:] for case in BAD_PARAMETERS],
+    ids=[case[0] for case in BAD_PARAMETERS],
+)
+def test_bad_parameter_is_a_config_error(tmp_path, capsys, experiment, params, seed, argv, name):
+    payload = {"experiment": experiment, "params": params}
+    if seed is not None:
+        payload["seed"] = seed
+    out = tmp_path / "artifact"
+    assert main(["--config", write_config(tmp_path, payload), "--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and name in err
+    assert not out.exists()
+
+
+def test_format_is_checked_before_the_run(tmp_path, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the experiment ran before its format was checked")
+
+    monkeypatch.setattr(cli, "uniform_outcome_probabilities", must_not_run)
+    cfg = make_config("probability", seed=1, out=str(tmp_path / "p.csv"), fmt="csv")
+    with pytest.raises(ConfigError, match="JSON"):
+        run(cfg)
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    params = {"theta_steps": 4, "phi_steps": 3, "step": 0.5, "cap": 5.0}
+    blobs = []
+    for name, values in (("int", params), ("float", {**params, "theta_steps": 4.0})):
+        run(make_config("sieve", params=values, out=str(tmp_path / f"{name}.csv")))
+        blobs.append((tmp_path / f"{name}.csv").read_text().splitlines()[1:])
+    assert blobs[0] == blobs[1]  # all but the config echo, which keeps 4.0 as given
 
 
 def test_premeasure_nan_amplitude_is_a_config_error(tmp_path, capsys):
@@ -117,6 +195,25 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"experiment": ["sieve"]}', "unknown experiment ['sieve']"),
+        ('{"experiment": "premeasure", "out": ["a"]}', "out must be a path string"),
+        # json refuses integers over 4300 digits (Python >= 3.10.7); t_d is out of range anyway.
+        ('{"experiment": "sieve", "params": {"t_d": 1' + "0" * 5000 + "}}", ""),
+    ],
+    ids=["experiment-list", "out-list", "integer-too-long"],
+)
+def test_malformed_config_field_exits_2(tmp_path, monkeypatch, capsys, text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.json").write_text(text)
+    assert main(["--config", "exp.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert sorted(os.listdir(tmp_path)) == ["exp.json"]
 
 
 def test_csv_rejected_for_probability(tmp_path):
@@ -313,6 +410,12 @@ def test_observer_lists_deterministic_per_seed():
     assert first == second
     third = observer_lists("conjugate", "pointer", 500, seed=4)
     assert third != first
+
+
+def test_observer_lists_accepts_numpy_scalars():
+    # Only the config boundary insists on JSON types; the library takes any real number.
+    expected = observer_lists("conjugate", "pointer", 500, 3, 2.0)
+    assert observer_lists("conjugate", "pointer", np.int64(500), 3, np.float64(2.0)) == expected
 
 
 # --- reproducibility & rendering ------------------------------------------------------
