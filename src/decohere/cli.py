@@ -254,7 +254,7 @@ def _run_premeasure(p: dict, seed: Optional[int]) -> dict:
     norm_sq = sum(x * x for x in (alpha.real, alpha.imag, beta.real, beta.imag))
     message = "alpha and beta must satisfy |alpha|^2 + |beta|^2 = 1"
     _require(abs(norm_sq - 1.0) <= 1e-9, message, error=ConfigError)
-    # The 2 + n qubit register must fit a pure state; the density cap is a run invariant.
+    # The 2 + n qubit register must fit a pure state; only its 2-qubit reduction is dense.
     n_env = _integer(p["environment"], "environment", 1, MAX_PURE_QUBITS - 2)
     bits = p["environment_bits"]
     bits = _listed(_integer, [0] * n_env if bits is None else bits, "environment_bits", 0, 1)
@@ -271,7 +271,7 @@ def _run_premeasure(p: dict, seed: Optional[int]) -> dict:
     monitor = decoherence_chain(1, range(2, width), width)
     state = apply(state, record)
     state = apply(state, monitor)
-    rho_sa = partial_trace(state.to_density_matrix(), (0, 1))
+    rho_sa = partial_trace(state, (0, 1))
     off = rho_sa.elements - np.diag(rho_sa.elements.diagonal())
     row = {
         "alpha": abs(alpha),
@@ -379,8 +379,8 @@ def _run_sieve(p: dict, seed: Optional[int]) -> dict:
     m_doublings=8,
 )
 def _run_probability(p: dict, seed: Optional[int]) -> dict:
-    # The 2^k outcome state must fit a pure state; the channel cap is a run invariant.
-    n_outcomes = _integer(p["uniform_n"], "uniform_n", 2, 2**MAX_PURE_QUBITS)
+    # The dephasing channel over the 2^k outcomes is dense, so k meets the density cap.
+    n_outcomes = _integer(p["uniform_n"], "uniform_n", 2, 2**MAX_DENSE_QUBITS)
     message = "uniform_n must be a power of two"
     _require(n_outcomes & (n_outcomes - 1) == 0, message, error=ConfigError)
     weights = _built("p", ProbabilityVector, _listed(_number, p["p"], "p"))

@@ -12,9 +12,12 @@ per-candidate sums with the sample times.  With a self-Hamiltonian H,
 evolution uses first-order operator splitting per grid interval: the exact
 unitary V = W^H exp(-iH dt) W followed by the exact dephasing mask D for the
 same dt, X' = D o (V X V^H).  That step is a fixed linear map, built once
-per distinct dt as a d^2 x d^2 superoperator, and the block advances by one
-(B, d^2) x (d^2, d^2) product per grid interval, recording the purity at
-each step.
+per distinct dt as a d^2 x d^2 superoperator.  For d > 2 the block advances
+by one (B, d^2) x (d^2, d^2) product per grid interval, straight into its
+state record.  A qubit keeps only its purities: its intervals are grouped
+into chunks of about sqrt(n) steps, and the block advances by one
+(B, 4) x (4, 4k) product per chunk against the chunk's prefix products,
+which yields the k states of the chunk.
 
 Entropies come from the spectrum of each sampled state.  A qubit's spectrum
 follows from its purity alone: lambda+ = (1 + sqrt(2P - 1)) / 2 and
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -63,6 +66,8 @@ PURITY_CAP_THRESHOLD = 1e-3
 # working set of (B, T) arrays, and so the peak memory, independent of the
 # number of candidates.
 BLOCK_SIZE = 16
+# Split-step prefix products held at once, in complex entries (4 MB).
+_PREFIX_ENTRIES = 1 << 18
 
 
 def uniform_grid(t_end: float, steps: int) -> np.ndarray:
@@ -190,32 +195,101 @@ def _split_step(
     Each interval applies V = W^H exp(-iH dt) W and then the dephasing mask
     D, X' = D o (V X V^H).  On row-major vec(X) that is the fixed matrix
     diag(vec D) kron(V, conj V); its transpose S advances the whole block as
-    (B, d^2) @ S.  S is built once per distinct dt, because the recorded
-    times can end on a shorter interval.  A qubit's spectrum needs only its
-    purity, so qubit states are not kept: that record would be the largest
-    allocation of the sieve.
+    (B, d^2) @ S.  ``_step_maps`` builds S once per distinct dt (a linspace
+    grid has a few dt values that differ in the last ulp, and the recorded
+    times can end on a shorter interval); only that function knows the
+    splitting, so an exact generator exp(L dt) would replace it alone.
+
+    For d > 2 every state is kept for its spectrum, so the block advances
+    one interval per (B, d^2) @ (d^2, d^2) product, written straight into
+    the state record, and the purities are read from the record at the end.
+    Chunks would not pay there: their prefix products cost d^6 multiplies
+    per interval, at least the B d^4 of the step itself as B <= BLOCK_SIZE
+    = 16 <= d^2, and would hold about one d^2 x d^2 map per interval.
+
+    A qubit's spectrum needs only its purity, so its states are not kept:
+    that record would be the largest allocation of the sieve.  The n
+    intervals are cut into c chunks of k = isqrt(n) steps, the last one
+    padded with identities, and the block advances one chunk per
+    (B, 4) @ (4, 4k) product against the chunk's prefix products
+    (``_chunk_prefixes``), which yields all k states of the chunk; the next
+    chunk starts from its last state.  While the prefix products fit in
+    ``_PREFIX_ENTRIES`` (up to about 16000 intervals) that makes k - 1 + c
+    Python steps instead of n, and k + n / k is least at k = sqrt(n): 44
+    steps for 500 intervals.  Each S is a contraction, so rounding grows
+    with n as in a step-by-step loop.
     """
     b, d, _ = frames.shape
+    dd = d * d
+    dts, step_of = np.unique(np.diff(times), return_inverse=True)
+    steps = _step_maps(dynamics, dts)
+    purities = np.empty((b, times.size))
+    if d > 2:
+        states = np.empty((b, times.size, dd), dtype=complex)
+        states[:, 0] = frames.reshape(b, dd)
+        for i, step in enumerate(step_of.tolist(), 1):
+            np.matmul(states[:, i - 1], steps[step], out=states[:, i])
+        _purities(states, purities)
+        return purities, states.reshape(b, times.size, d, d)
+
+    n = step_of.size
+    k = math.isqrt(n)
+    c = -(-n // k)
+    # Index len(dts) is the identity that pads the last chunk.
+    steps = np.concatenate([steps, np.eye(dd, dtype=complex)[None]])
+    chunk_steps = np.full(c * k, dts.size)
+    chunk_steps[:n] = step_of
+    x = frames.reshape(b, dd)
+    _purities(x[:, None], purities[:, :1])
+    for chunk, prefix in enumerate(_chunk_prefixes(steps, chunk_steps.reshape(c, k))):
+        xs = np.matmul(x, prefix).reshape(b, k, dd)
+        record = purities[:, 1 + chunk * k : 1 + (chunk + 1) * k]
+        _purities(xs[:, : record.shape[1]], record)
+        x = xs[:, -1]
+    return purities, None
+
+
+def _chunk_prefixes(steps: np.ndarray, chunk_steps: np.ndarray) -> Iterator[np.ndarray]:
+    """Each chunk's prefix products S_1, S_1 S_2, ... side by side, (d^2, k d^2).
+
+    ``chunk_steps`` (c, k) indexes ``steps`` per chunk.  The products are
+    formed for a group of chunks at a time, in k - 1 batched products, and
+    a group holds at most ``_PREFIX_ENTRIES`` of their entries (or one
+    chunk's, if that is more), so memory stays bounded however long the
+    recording is.
+    """
+    c, k = chunk_steps.shape
+    dd = steps.shape[1]
+    group = max(1, _PREFIX_ENTRIES // (k * dd * dd))
+    for first in range(0, c, group):
+        index = chunk_steps[first : first + group]
+        prefix = np.empty((index.shape[0], dd, k, dd), dtype=complex)
+        prefix[:, :, 0] = steps[index[:, 0]]
+        for j in range(1, k):
+            np.matmul(prefix[:, :, j - 1], steps[index[:, j]], out=prefix[:, :, j])
+        yield from prefix.reshape(-1, dd, k * dd)
+
+
+def _step_maps(dynamics: DynamicsSpec, dts: np.ndarray) -> np.ndarray:
+    """Split-step maps S (len(dts), d^2, d^2), one per dt."""
+    d = dynamics.channel.dim
     evals, vecs = np.linalg.eigh(dynamics.self_hamiltonian)
     vecs = dynamics.channel.basis.conj().T @ vecs
-    off_diag = 1.0 - np.eye(d)
-    steps: dict[float, np.ndarray] = {}
-    purities = np.empty((b, times.size))
-    states = np.empty((b, times.size, d, d), dtype=complex) if d > 2 else None
-    x = frames.reshape(b, d * d)
-    for i, dt in enumerate([0.0] + np.diff(times).tolist()):
-        if i:
-            step = steps.get(dt)
-            if step is None:
-                v = (vecs * np.exp(-1j * evals * dt)) @ vecs.conj().T
-                damp = (math.exp(-dt / dynamics.channel.t_d) * off_diag + np.eye(d)).reshape(-1)
-                step = steps[dt] = (damp[:, None] * np.kron(v, v.conj())).T
-            x = x @ step
-        flat = x.view(float)  # |x|^2 summed as re^2 + im^2
-        np.vecdot(flat, flat, out=purities[:, i])
-        if states is not None:
-            states[:, i] = x.reshape(b, d, d)
-    return purities, states
+    v = (vecs * np.exp(-1j * evals * dts[:, None])[:, None, :]) @ vecs.conj().T
+    damp = np.exp(-dts / dynamics.channel.t_d)[:, None, None] * (1.0 - np.eye(d)) + np.eye(d)
+    steps = np.empty((dts.size, d * d, d * d), dtype=complex)
+    # S[(j, l), (i, k)] = D[i, k] V[i, j] conj V[k, l], written in place
+    maps = steps.reshape(dts.size, d, d, d, d)
+    vt = v.transpose(0, 2, 1)
+    np.multiply(damp[:, None, None], vt[:, :, None, :, None], out=maps)
+    maps *= vt.conj()[:, None, :, None, :]
+    return steps
+
+
+def _purities(xs: np.ndarray, out: np.ndarray) -> None:
+    """Purities of vec(X) (B, m, d^2) into ``out`` (B, m)."""
+    flat = xs.view(float)  # |x|^2 summed as re^2 + im^2
+    np.vecdot(flat, flat, out=out)
 
 
 def _evolve_block(

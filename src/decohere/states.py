@@ -345,26 +345,39 @@ def tensor_product(a: StateLike, b: StateLike) -> StateLike:
     raise TypeError("tensor_product requires two PureStates or two DensityMatrices")
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
+def partial_trace(rho: StateLike, keep: Iterable[int]) -> DensityMatrix:
     """Trace out every qubit not listed in ``keep``.
 
     ``keep`` fixes the qubit order of the result, so it can also be used to
     permute subsystems.  The trace is preserved exactly up to rounding.
-    A state from ``PureState.to_density_matrix`` is reduced from its
-    amplitudes as M M^H, M the (2^k, 2^(n-k)) amplitude matrix with the kept
-    qubits first: O(2^n 2^k) work and nothing of size 4^n.
+    A ``PureState``, or a state from ``PureState.to_density_matrix``, is
+    reduced from its amplitudes as M M^H, M the (2^k, 2^(n-k)) amplitude
+    matrix with the kept qubits first: O(2^n 2^k) work and nothing of size
+    4^n.  Only the kept width meets the 12-qubit density cap, so a pure
+    register of up to 20 qubits reduces without its density matrix.
     """
-    keep_t = check_qubits(keep, rho.num_qubits)
-    _require(keep_t, "keep-set must be nonempty")
     n = rho.num_qubits
-    amps = rho.__dict__.get("_amplitudes")
+    keep_t = check_qubits(keep, n)
+    _require(keep_t, "keep-set must be nonempty")
+    if isinstance(rho, PureState):
+        amps = rho.amplitudes
+        _check_register(len(keep_t), MAX_DENSE_QUBITS)
+    else:
+        amps = rho.__dict__.get("_amplitudes")
     if amps is not None:
         rest = [q for q in range(n) if q not in keep_t]
         m = amps.reshape((2,) * n).transpose(keep_t + tuple(rest)).reshape(2 ** len(keep_t), -1)
+        conj = m.conj()
+        reduced = np.empty((m.shape[0], m.shape[0]), dtype=complex)
         # The entrywise products of np.outer, summed, not a BLAS product: an
         # entry with at most two nonzero terms (a premeasurement register) then
         # gets the very value the full matrix gives, and CLI output its bytes.
-        reduced = (m[:, None, :] * m.conj()[None, :, :]).sum(axis=-1)
+        # Blocks of rows keep 2^22 products (64 MB) in flight at most; each
+        # entry is summed along its own row either way.
+        rows = max(1, (1 << 22) >> n)
+        for start in range(0, m.shape[0], rows):
+            stop = start + rows
+            np.sum(m[start:stop, None, :] * conj, axis=-1, out=reduced[start:stop])
         return _trusted(DensityMatrix, "elements", reduced, num_qubits=len(keep_t))
     tensor = rho.elements.reshape((2,) * (2 * n))
     in_idx = list(range(2 * n))

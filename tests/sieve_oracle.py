@@ -5,6 +5,9 @@ evolved on its own, the closed form takes the spectrum of each sampled
 state with ``eigvalsh``, and the split step applies the unitary and the
 dephasing as four d x d products per step in the register frame.  The
 tests compare the block evaluation in ``decohere.sieve`` against it.
+
+``split_step`` is the block split step as it was before the chunked
+propagation: one (B, d^2) @ (d^2, d^2) product per recorded interval.
 """
 
 from __future__ import annotations
@@ -115,6 +118,37 @@ def evolve_entropy(
         equilibrium_purity=2.0 ** (-n),
         num_qubits=n,
     )
+
+
+def split_step(
+    frames: np.ndarray, dynamics: DynamicsSpec, times: np.ndarray
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Purities (B, T) and, for d > 2, pointer-frame states (B, T, d, d), one step at a time.
+
+    Each interval applies S = (diag(vec D) kron(V, conj V))^T to the block of
+    row-major vec(X), S built once per distinct dt.
+    """
+    b, d, _ = frames.shape
+    evals, vecs = np.linalg.eigh(dynamics.self_hamiltonian)
+    vecs = dynamics.channel.basis.conj().T @ vecs
+    off_diag = 1.0 - np.eye(d)
+    steps: dict[float, np.ndarray] = {}
+    purities = np.empty((b, times.size))
+    states = np.empty((b, times.size, d, d), dtype=complex) if d > 2 else None
+    x = frames.reshape(b, d * d)
+    for i, dt in enumerate([0.0] + np.diff(times).tolist()):
+        if i:
+            step = steps.get(dt)
+            if step is None:
+                v = (vecs * np.exp(-1j * evals * dt)) @ vecs.conj().T
+                damp = (math.exp(-dt / dynamics.channel.t_d) * off_diag + np.eye(d)).reshape(-1)
+                step = steps[dt] = (damp[:, None] * np.kron(v, v.conj())).T
+            x = x @ step
+        flat = x.view(float)  # |x|^2 summed as re^2 + im^2
+        np.vecdot(flat, flat, out=purities[:, i])
+        if states is not None:
+            states[:, i] = x.reshape(b, d, d)
+    return purities, states
 
 
 def predictability_horizon(trajectory: EntropyTrajectory) -> Horizon:

@@ -55,21 +55,21 @@ def test_missing_seed_for_stochastic_experiment_exits_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-def test_invariant_violation_exits_3(tmp_path, capsys):
-    # uniform_n = 8192 is a valid parameter whose 13-qubit channel exceeds the density cap.
+def test_invariant_violation_exits_3(tmp_path, capsys, monkeypatch):
+    # No parameter in range breaks a run invariant any more, so a library
+    # ValueError is injected where premeasure reduces its register.
+    def broken_reduction(*args):
+        raise ValueError("reduced state lost positivity")
+
+    monkeypatch.setattr(cli, "partial_trace", broken_reduction)
     cfg = write_config(
         tmp_path,
-        {
-            "experiment": "probability",
-            "params": {"uniform_n": 8192},
-            "seed": 3,
-            "out": str(tmp_path / "x.json"),
-        },
+        {"experiment": "premeasure", "out": str(tmp_path / "x.csv")},
     )
     assert main(["--config", cfg]) == 3
     err = capsys.readouterr().err
-    assert "invariant violation: num_qubits must be in 1..12, got 13" in err
-    assert not (tmp_path / "x.json").exists()
+    assert "invariant violation: reduced state lost positivity" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 # Each config is malformed in one parameter: (id, experiment, params, file seed, extra argv,
@@ -105,6 +105,9 @@ BAD_PARAMETERS = [
     ("records-cells_max-fraction", "records", {"cells_max": 2.5}, 3, [], "cells_max"),
     ("probability-m_doublings-negative", "probability", {"m_doublings": -1}, 3, [], "m_doublings"),
     ("probability-uniform_n-string", "probability", {"uniform_n": "4"}, 3, [], "uniform_n"),
+    # 8192 outcomes need a 13-qubit dephasing channel, past the 12-qubit density cap.
+    ("probability-uniform_n-past-density-cap", "probability", {"uniform_n": 8192}, 3, [],
+     "uniform_n"),
     ("seed-fraction", "observer-lists", {}, 1.7, [], "seed"),
     ("seed-boolean", "observer-lists", {}, True, [], "seed"),
 ]
@@ -155,21 +158,25 @@ def test_premeasure_nan_amplitude_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_premeasure_beyond_density_cap_exits_3(tmp_path, capsys):
-    # 1 system + 1 apparatus + 18 environment qubits: a 20-qubit register,
-    # whose 4^20-entry density matrix must be refused, not allocated.
+@pytest.mark.parametrize("environment", [11, 18])
+def test_premeasure_beyond_density_cap_runs(tmp_path, environment):
+    # 2 + 18 qubits is a 20-qubit register; only its 2-qubit reduction is dense.
+    alpha, beta = 0.6, 0.8j
+    out = tmp_path / "x.csv"
     cfg = write_config(
         tmp_path,
         {
             "experiment": "premeasure",
-            "params": {"environment": 18},
-            "out": str(tmp_path / "x.csv"),
+            "params": {"environment": environment, "alpha": alpha, "beta": [0.0, 0.8]},
+            "out": str(out),
         },
     )
-    assert main(["--config", cfg]) == 3
-    err = capsys.readouterr().err
-    assert "invariant violation: num_qubits must be in 1..12, got 20" in err
-    assert not (tmp_path / "x.csv").exists()
+    assert main(["--config", cfg]) == 0
+    header, row = out.read_text().splitlines()[-2:]
+    values = dict(zip(header.split(","), row.split(",")))
+    assert float(values["p00"]) == pytest.approx(abs(alpha) ** 2, abs=1e-12)
+    assert float(values["p11"]) == pytest.approx(abs(beta) ** 2, abs=1e-12)
+    assert float(values["max_offdiag"]) == 0.0
 
 
 @pytest.mark.parametrize(

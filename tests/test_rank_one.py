@@ -111,6 +111,39 @@ def test_partial_trace_of_two_term_states_equals_full_matrix_values():
 
 
 @pytest.mark.parametrize("n", range(1, 9))
+def test_partial_trace_of_pure_state_equals_its_density_matrix_bytes(n):
+    psi = _random_pure(n)
+    for keep in [tuple(range(n)), tuple(RNG.permutation(n)), (int(RNG.integers(n)),)]:
+        got = partial_trace(psi, keep).elements
+        assert got.tobytes() == partial_trace(psi.to_density_matrix(), keep).elements.tobytes()
+
+
+@pytest.mark.parametrize("n, keep", [(16, (0, 1)), (20, (19, 3)), (14, tuple(range(13, 3, -1)))])
+def test_partial_trace_of_wide_pure_state(n, keep):
+    # Registers past the density cap reduce from their amplitudes; blocks of
+    # rows bound the products in flight to 64 MB (the 14 -> 10 case takes 4 blocks).
+    psi = PureState.basis(n, 0) if n == 20 else _random_pure(n)
+    a = psi.amplitudes.reshape((2,) * n)
+    rest = [q for q in range(n) if q not in keep]
+    m = a.transpose(keep + tuple(rest)).reshape(2 ** len(keep), -1)
+    reduced, peak = _peak_bytes(lambda: partial_trace(psi, keep))
+    assert reduced.num_qubits == len(keep)
+    assert np.max(np.abs(reduced.elements - m @ m.conj().T)) <= TOL
+    assert peak < reduced.elements.nbytes + 2 * psi.amplitudes.nbytes + 65 * MB
+
+
+def test_partial_trace_of_pure_state_caps_only_the_kept_width():
+    psi = PureState.basis(14, 0)
+
+    def request():
+        with pytest.raises(ValueError, match="num_qubits must be in 1..12, got 13"):
+            partial_trace(psi, range(13))
+
+    _, peak = _peak_bytes(request)
+    assert peak < 1 * MB
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_rank_one_results_are_valid_read_only_and_alias_nothing(n):
     psi = _random_pure(n)
     rho = psi.to_density_matrix()
