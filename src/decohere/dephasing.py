@@ -27,7 +27,9 @@ frames, which skip the Gram check.  Pi takes one form per frame:
 * Hadamard: the X-Pauli twirl Pi[j, k] = s[j ^ k] / d with
   s[m] = sum_j rho[j, j ^ m], real for Hermitian rho.  A pure input gives
   s = WHT(|WHT psi|^2) / d in O(n 2^n), WHT the unnormalized
-  Walsh-Hadamard transform; a full matrix is summed row by row, in j order.
+  Walsh-Hadamard transform (``_walsh_hadamard``: H_n as a product of
+  Sylvester factors of at most 16 x 16, one batched matrix product each);
+  a full matrix is summed row by row, in j order.
   The table s[j ^ k] is laid out by row blocks, with no index table, and
   is the only d x d temporary.
 * any other frame W: W diag(y) W^H with y_i = (W^H rho W)_ii, two d x d
@@ -58,6 +60,10 @@ from .states import (
 )
 
 BASIS_TOL = 1e-10
+# H_4, entry (-1)^popcount(i & j); its top-left 2^k x 2^k block is H_k.
+_SYLVESTER = (-1.0) ** np.bitwise_count(np.arange(16)[:, None] & np.arange(16))
+_SYLVESTER.setflags(write=False)
+
 
 def _hadamard_frame(num_qubits: int) -> np.ndarray:
     h1 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -76,18 +82,33 @@ def _hadamard_entry(num_qubits: int) -> float:
 
 
 def _walsh_hadamard(rows: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of each row, by butterfly passes.
+    """Unnormalized Walsh-Hadamard transform of each row, as Sylvester-factor products.
 
     out[:, z] = sum_j (-1)^popcount(j & z) rows[:, j]; rows have 2^n entries.
+    H_n is the Kronecker product of H_k factors, k <= 4, one per group of
+    index bits from the highest; each factor is one batched matrix product
+    by a block of ``_SYLVESTER``.  The real and imaginary parts of complex
+    rows are transformed as real rows, and real rows give float64.
     """
     count, d = rows.shape
-    half = 1
-    while half < d:
-        pairs = rows.reshape(count, d // (2 * half), 2, half)
-        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
-        rows = np.stack((lo + hi, lo - hi), axis=2).reshape(count, d)
-        half *= 2
-    return rows
+    complex_rows = np.iscomplexobj(rows)
+    x = np.concatenate((rows.real, rows.imag)) if complex_rows else rows
+    lead, bits = x.shape[0], d.bit_length() - 1
+    while bits:
+        k = min(bits, 4)
+        bits -= k
+        h = _SYLVESTER[: 1 << k, : 1 << k]
+        if bits:
+            x = h @ x.reshape(lead, 1 << k, 1 << bits)
+        else:  # the last group is the contiguous axis: one product over all rows
+            x = x.reshape(lead, 1 << k) @ h
+        lead <<= k
+    x = x.reshape(-1, d)
+    if not complex_rows:
+        return x
+    out = np.empty((count, d), dtype=complex)
+    out.real, out.imag = x[:count], x[count:]
+    return out
 
 
 def _is_identity(mat: np.ndarray) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -301,11 +302,11 @@ class RecordSequence:
 
     def __post_init__(self) -> None:
         alpha = tuple(self.alphabet)
-        if len(alpha) < 2 or len(set(alpha)) != len(alpha):
+        allowed = set(alpha)
+        if len(alpha) < 2 or len(allowed) != len(alpha):
             raise ValueError("alphabet must hold at least two distinct symbols")
         syms = tuple(self.symbols)
-        allowed = set(alpha)
-        if any(s not in allowed for s in syms):
+        if not allowed.issuperset(syms):
             raise ValueError("sequence contains symbols outside the alphabet")
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "alphabet", alpha)
@@ -318,14 +319,8 @@ class RecordSequence:
         return cls((symbol,) * length, tuple(alphabet))
 
 
-def _run_lengths(symbols: Sequence) -> list[tuple[object, int]]:
-    runs: list[tuple[object, int]] = []
-    for s in symbols:
-        if runs and runs[-1][0] == s:
-            runs[-1] = (s, runs[-1][1] + 1)
-        else:
-            runs.append((s, 1))
-    return runs
+def _run_lengths(symbols: Sequence) -> list[int]:
+    return [len(list(run)) for _, run in groupby(symbols)]
 
 
 def compressibility_proxy(sequence: RecordSequence) -> float:
@@ -343,7 +338,7 @@ def compressibility_proxy(sequence: RecordSequence) -> float:
         raise ValueError("sequence too short for a stable ratio (need >= 16 symbols)")
     a = len(sequence.alphabet)
     runs = _run_lengths(sequence.symbols)
-    counts = Counter(length for _, length in runs)
+    counts = Counter(runs)
     n_runs = len(runs)
     length_entropy = 0.0
     for c in counts.values():

@@ -7,8 +7,9 @@ as one) mapping one onto the other up to a global phase.  A Pauli string
 is an X mask x and a Z mask z, and <b|X^x Z^z|a> is, up to phase, the
 Walsh-Hadamard transform over j of conj(b[j ^ x]) a[j] at z: one transform
 gives the overlaps of every Z mask for one X mask.  X masks are taken in
-layers of increasing popcount, and the search stops after layer k once
-the lightest match weighs at most k, since popcount(x | z) >= popcount(x).
+layers of increasing popcount, all masks of a layer in one transform, and
+the search stops after layer k once the lightest match weighs at most k,
+since popcount(x | z) >= popcount(x).
 Among matches of the least weight, the first in the order (qubit tuple,
 then X < Y < Z labels) wins.  The search is capped at 8 environment qubits
 (4^8 assignments).
@@ -37,8 +38,9 @@ from .states import PureState, _norm_sq, _readonly, _require, _trusted, check_qu
 MAX_SEARCH_QUBITS = 8
 NULL_WEIGHT = 1e-12
 MATCH_TOL = 1e-9
-# X masks per transform: bounds the spectrum block at 16 x 2^n amplitudes.
-_MASK_BLOCK = 16
+# Phase-flipped weights gathered per batch of error patterns (128 KB of float64);
+# a batch holds at least one pattern, whose 2^(n + k) weights may exceed it.
+_GATHER_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,13 +178,13 @@ def minimal_flip_sequence(
 ) -> Optional[FlipSequence]:
     """Smallest flip assignment mapping record ``a`` onto ``b`` up to phase.
 
-    X masks are visited in layers of increasing popcount, in blocks of up
-    to 16; one Walsh-Hadamard transform per block gives the overlap of
-    every Z mask.  A match (overlap magnitude >= 1 - 1e-9) weighs
-    popcount(x | z) >= popcount(x), so the search ends after layer k once
-    the lightest match found weighs at most k.  Ties go to the first
-    assignment in (weight, qubit tuple, X < Y < Z labels) order.  Returns
-    None when no assignment matches.
+    X masks are visited in layers of increasing popcount; one
+    Walsh-Hadamard transform per layer (at most 70 x 256 entries at 8
+    qubits) gives the overlap of every Z mask.  A match (overlap magnitude
+    >= 1 - 1e-9) weighs popcount(x | z) >= popcount(x), so the search ends
+    after layer k once the lightest match found weighs at most k.  Ties go
+    to the first assignment in (weight, qubit tuple, X < Y < Z labels)
+    order.  Returns None when no assignment matches.
     """
     if a.is_null or b.is_null:
         raise ValueError("null records have no flip distance")
@@ -198,13 +200,10 @@ def minimal_flip_sequence(
     best = None  # ((weight, qubit tuple, Pauli labels), per-qubit labels)
     for layer in range(n + 1):
         x_masks = indices[layer_of == layer]
-        for start in range(0, x_masks.size, _MASK_BLOCK):
-            block = x_masks[start : start + _MASK_BLOCK]
-            spectrum = _walsh_hadamard(b_conj[indices ^ block[:, None]] * a.amplitudes)
-            rows, z_masks = np.nonzero(np.abs(spectrum) >= 1.0 - MATCH_TOL)
-            if rows.size == 0:
-                continue
-            hit_x = block[rows]
+        spectrum = _walsh_hadamard(b_conj[indices ^ x_masks[:, None]] * a.amplitudes)
+        rows, z_masks = np.nonzero(np.abs(spectrum) >= 1.0 - MATCH_TOL)
+        if rows.size:
+            hit_x = x_masks[rows]
             weights = np.bitwise_count(hit_x | z_masks)
             lightest = weights == weights.min()
             for x, z in zip(hit_x[lightest].tolist(), z_masks[lightest].tolist()):
@@ -338,8 +337,10 @@ def _hadamard_robustness(joint: JointState, n: int, k: int) -> float:
     Since H Z_m = X_m H, a phase flip on mask m only permutes a branch's
     Hadamard-basis weights, w_m[j] = w[j ^ m]; each branch is transformed once.
     The amplitudes are scaled by the Hadamard frame's entry before the
-    butterflies, so a two-term record gets the very weights the frame's
-    matrix product gives (and CLI output its bytes).
+    transform, so a two-term record gets the very weights the frame's
+    matrix product gives (and CLI output its bytes).  The patterns are
+    gathered in batches of at most ``_GATHER_ENTRIES`` weights per branch,
+    and their success rates are added one by one, in pattern order.
     """
     plus = PureState.from_amplitudes(np.array([1.0, 1.0]) / math.sqrt(2.0))
     minus = PureState.from_amplitudes(np.array([1.0, -1.0]) / math.sqrt(2.0))
@@ -347,15 +348,18 @@ def _hadamard_robustness(joint: JointState, n: int, k: int) -> float:
     weights = np.abs(_walsh_hadamard(records * _hadamard_entry(n))) ** 2
 
     indices = np.arange(2**n, dtype=np.intp)
-    bit_of = [1 << (n - 1 - q) for q in range(n)]
+    bit_of = 1 << np.arange(n - 1, -1, -1, dtype=np.intp)
     signs = np.array(list(product((0, 1), repeat=k)), dtype=np.intp)
+    patterns = np.array(list(combinations(range(n), k)), dtype=np.intp)
+    # Row p holds the 2^k phase-flip masks of pattern p, in the order of ``signs``.
+    masks = bit_of[patterns] @ signs.T
+    batch = max(1, _GATHER_ENTRIES >> (n + k))
 
     total = 0.0
-    patterns = 0
-    for pattern in combinations(range(n), k):
-        masks = signs @ np.array([bit_of[q] for q in pattern], dtype=np.intp)
-        dists = [w[indices ^ masks[:, None]].mean(axis=0) for w in weights]
+    for start in range(0, len(masks), batch):
+        table = indices ^ masks[start : start + batch, :, None]
+        dists = [w[table].mean(axis=1) for w in weights]
         # Optimal outcome-by-outcome guess between the two equiprobable branches.
-        total += 0.5 * float(np.sum(np.maximum(dists[0], dists[1])))
-        patterns += 1
-    return total / patterns
+        for success in np.maximum(dists[0], dists[1]).sum(axis=1).tolist():
+            total += 0.5 * success
+    return total / len(masks)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from decohere import records
 from decohere.dephasing import DephasingChannel, decohered_limit, dephase
 from decohere.probability import ProbabilityVector
 from decohere.records import (
@@ -294,6 +295,31 @@ def test_sequence_validation():
         compressibility_proxy(RecordSequence((0, 1) * 4, (0, 1)))
     with pytest.raises(ValueError, match="alphabet"):
         RecordSequence((0, 0, 2), (0, 1))
+    with pytest.raises(TypeError, match="unhashable"):
+        RecordSequence((0, [1], 0), (0, 1))
+
+
+def _run_lengths_loop(symbols) -> list[int]:
+    """Run lengths as the symbol-by-symbol loop that ``itertools.groupby`` replaced."""
+    runs: list[tuple[object, int]] = []
+    for s in symbols:
+        if runs and runs[-1][0] == s:
+            runs[-1] = (s, runs[-1][1] + 1)
+        else:
+            runs.append((s, 1))
+    return [length for _, length in runs]
+
+
+def test_run_lengths_match_symbol_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        length = int(rng.integers(1, 400))
+        alphabet = ("a", 2, 3.5, None)[: int(rng.integers(2, 5))]
+        picks = rng.integers(0, len(alphabet), length)
+        if rng.uniform() < 0.5:  # long runs: each pick repeated 1-49 times
+            picks = np.repeat(picks, rng.integers(1, 50, length))
+        symbols = tuple(alphabet[int(i)] for i in picks)
+        assert records._run_lengths(symbols) == _run_lengths_loop(symbols)
 
 
 def test_density_matrix_type_of_correlate():

@@ -1,0 +1,122 @@
+"""Sylvester-factor Walsh-Hadamard transform and its callers against the code they replaced.
+
+``wht_oracle`` holds the butterfly transform and the per-pattern robustness
+loop.  The factored transform must agree with the butterfly to
+1e-12 x 2^(n/2) (exactly on integer rows) and keep real rows real; the flip
+search must make one transform per popcount layer it visits; the batched
+robustness must give the loop's very bits.
+"""
+
+import math
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+
+import wht_oracle
+from decohere import redundancy
+from decohere.dephasing import DephasingChannel, _walsh_hadamard, decohered_limit
+from decohere.redundancy import EnvironmentRecord, JointState, error_robustness
+from decohere.states import PureState
+
+RNG = np.random.default_rng(12)
+ROW_COUNTS = (1, 2, 16, 70)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_transform_matches_butterfly(n):
+    d = 2**n
+    for count in ROW_COUNTS:
+        real = RNG.normal(size=(count, d))
+        for rows in (real, real + 1j * RNG.normal(size=(count, d))):
+            kept = rows.copy()
+            got = _walsh_hadamard(rows)
+            assert np.array_equal(rows, kept)
+            want = wht_oracle._walsh_hadamard(rows)
+            assert got.dtype == want.dtype == rows.dtype
+            assert got.shape == (count, d)
+            assert np.max(np.abs(got - want)) <= 1e-12 * 2 ** (n / 2)
+        # Sums of small integers are exact in either order.
+        ints = RNG.integers(-8, 9, size=(count, d)).astype(float)
+        assert np.array_equal(_walsh_hadamard(ints), wht_oracle._walsh_hadamard(ints))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_hadamard_pinching_of_pure_state_raises_no_warning(n):
+    amps = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
+    psi = PureState(amps / np.linalg.norm(amps), n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decohered_limit(psi.to_density_matrix(), DephasingChannel.hadamard(n, 1.0))
+
+
+def _product_record(vectors) -> EnvironmentRecord:
+    vec = np.ones(1, dtype=complex)
+    for v in vectors:
+        vec = np.kron(vec, v)
+    return EnvironmentRecord(vec / np.linalg.norm(vec), 1.0, len(vectors))
+
+
+@pytest.mark.parametrize("n", range(1, redundancy.MAX_SEARCH_QUBITS + 1))
+def test_flip_search_transforms_each_visited_layer_once(n, monkeypatch):
+    rows_per_call = []
+
+    def counted(rows):
+        rows_per_call.append(rows.shape[0])
+        return _walsh_hadamard(rows)
+
+    monkeypatch.setattr(redundancy, "_walsh_hadamard", counted)
+    x_flip = np.array([[0, 1], [1, 0]], dtype=complex)
+    for weight in range(n + 1):
+        qubits = [RNG.normal(size=2) + 1j * RNG.normal(size=2) for _ in range(n)]
+        flipped = [x_flip @ v if q < weight else v for q, v in enumerate(qubits)]
+        rows_per_call.clear()
+        distance = redundancy.redundancy_distance(_product_record(qubits), _product_record(flipped))
+        assert distance == weight
+        # Layers 0..weight, each in one transform of all its X masks.
+        assert rows_per_call == [math.comb(n, layer) for layer in range(weight + 1)]
+    # An unconnectable pair visits every layer.
+    a = EnvironmentRecord(np.eye(2**n, dtype=complex)[0], 1.0, n)
+    b_vec = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
+    b = EnvironmentRecord(b_vec / np.linalg.norm(b_vec), 1.0, n)
+    rows_per_call.clear()
+    assert redundancy.minimal_flip_sequence(a, b) is None
+    assert rows_per_call == [math.comb(n, layer) for layer in range(n + 1)]
+
+
+def _two_branch_joint(n_env: int, ghz: bool) -> JointState:
+    n = n_env + 1
+    amps = np.zeros(2**n, dtype=complex)
+    if ghz:
+        amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
+        return JointState(PureState(amps, n), (0,), tuple(range(1, n)))
+    p = float(RNG.uniform(0.1, 0.9))
+    phases = np.exp(2j * np.pi * RNG.uniform(size=2))
+    amps[0] = math.sqrt(p) * phases[0]
+    amps[-1] = math.sqrt(1.0 - p) * phases[1]
+    s = int(RNG.integers(n))
+    return JointState(PureState(amps, n), (s,), tuple(q for q in range(n) if q != s))
+
+
+@pytest.mark.parametrize("n_env", range(1, redundancy.MAX_SEARCH_QUBITS + 1))
+def test_batched_robustness_has_the_loops_bits(n_env):
+    for ghz in (True, False, False):
+        joint = _two_branch_joint(n_env, ghz)
+        for k in range(n_env + 1):
+            got = error_robustness(joint, "hadamard", k)
+            want = wht_oracle._hadamard_robustness(joint, n_env, k)
+            assert got.hex() == want.hex()
+
+
+def test_robustness_batches_keep_the_peak_flat():
+    """At 8 qubits k = 5 gathers 458,752 weights per branch (3.5 MB); a batch holds 16,384."""
+    joint = _two_branch_joint(8, ghz=True)
+    error_robustness(joint, "hadamard", 5)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        error_robustness(joint, "hadamard", 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
