@@ -33,7 +33,8 @@ from . import __version__
 from .circuits import apply, decoherence_chain, premeasurement
 from .dephasing import (
     DephasingChannel,
-    _hadamard_frame,
+    _in_pointer_frame,
+    _pointer_coefficients,
     channel_from_spec,
     decohered_limit,
     dephase,
@@ -50,6 +51,7 @@ from .probability import (
 from .records import (
     MemoryModel,
     RecordSequence,
+    _readout_frame,
     branch_count,
     compressibility_proxy,
     conditional_g,
@@ -77,7 +79,6 @@ from .states import (
     DensityMatrix,
     Projector,
     _require,
-    born_probability,
     partial_trace,
 )
 
@@ -504,9 +505,9 @@ def _run_records(p: dict, seed: Optional[int]) -> dict:
         conditional_g(dephase(rho_sm, pointer_channel, t), record_1, prop_0)
         for t in times
     )
-    mixing_channel = DephasingChannel(
-        np.kron(_hadamard_frame(1), np.eye(2, dtype=complex)), t_d
-    )
+    # Pointer states |+>|0>, |+>|1>, |->|0>, |->|1>; the rows of the real, symmetric H.
+    plus_minus = _pointer_coefficients("hadamard", np.eye(2))
+    mixing_channel = DephasingChannel(np.kron(plus_minus, np.eye(2)), t_d)
     g_mixing = conditional_g(dephase(rho_sm, mixing_channel, t_d), record_1, prop_0)
     rows.append({"experiment": "g", "basis": "pointer", "g_t": g_pointer})
     rows.append({"experiment": "g", "basis": "mixing", "g_t": g_mixing})
@@ -567,43 +568,25 @@ def observer_lists(
     reads each member through the environment (a nondemolition readout in
     B's basis, sampled from the decohered state's Born weights) producing
     L_B, decoherence acts again, and A remeasures in their own basis to get
-    L_A2.  Returns the pairwise list agreement fractions.
+    L_A2.  Returns the pairwise list agreement fractions; an unknown basis
+    or an empty ensemble raises ``ValueError``.
     """
-    for name, value in (("prepare_basis", prepare_basis), ("measure_basis", measure_basis)):
-        message = "{} must be 'pointer' or 'conjugate'"
-        _require(value in ("pointer", "conjugate"), message, name, error=ConfigError)
-    _require(ensemble >= 1, "ensemble must be positive", error=ConfigError)
+    prepare = _readout_frame(prepare_basis, "prepare_basis")
+    measure = _readout_frame(measure_basis, "measure_basis")
+    _require(ensemble >= 1, "ensemble must be positive")
     rng = np.random.default_rng(seed)
     channel = DephasingChannel.computational(1, t_d)
-    hadamard = _hadamard_frame(1)
-
-    def basis_projectors(basis: str) -> tuple[Projector, Projector]:
-        if basis == "pointer":
-            return (
-                Projector.onto_vector(np.array([1.0, 0.0])),
-                Projector.onto_vector(np.array([0.0, 1.0])),
-            )
-        return (
-            Projector.onto_vector(hadamard[:, 0]),
-            Projector.onto_vector(hadamard[:, 1]),
-        )
-
-    measure_projs = basis_projectors(measure_basis)
-    remeasure_projs = basis_projectors(prepare_basis)
+    # Row l is W^H|l>; both frames are real and symmetric, so that is the prepared W|l>.
+    prepared = _pointer_coefficients(prepare, np.eye(2, dtype=complex))
 
     # Per preparation label: decohered state and outcome-1 weights for B and A.
-    p_b1 = np.zeros(2)
-    p_a1 = np.zeros(2)
-    for label in (0, 1):
-        if prepare_basis == "pointer":
-            prep = PureState.basis(1, label)
-        else:
-            prep = PureState.from_amplitudes(hadamard[:, label])
-        rho = decohered_limit(prep.to_density_matrix(), channel)
-        p_b1[label] = born_probability(rho, measure_projs[1])
+    p_b1, p_a1 = np.zeros(2), np.zeros(2)
+    for label, amplitudes in enumerate(prepared):
+        rho = decohered_limit(PureState.from_amplitudes(amplitudes).to_density_matrix(), channel)
+        p_b1[label] = _in_pointer_frame(measure, rho.elements)[1, 1].real
         # B's readout is environment-mediated, so the state is unchanged;
         # the second bout of decoherence is a no-op on the diagonal state.
-        p_a1[label] = born_probability(rho, remeasure_projs[1])
+        p_a1[label] = _in_pointer_frame(prepare, rho.elements)[1, 1].real
 
     list_a = rng.integers(0, 2, size=ensemble)
     list_b = (rng.random(ensemble) < p_b1[list_a]).astype(int)
@@ -629,7 +612,8 @@ def observer_lists(
 def _run_observer_lists(p: dict, seed: Optional[int]) -> dict:
     ensemble = _integer(p["ensemble"], "ensemble", 1, math.inf)
     t_d = _positive(p["t_d"], "t_d")
-    outcome = observer_lists(p["prepare_basis"], p["measure_basis"], ensemble, seed, t_d)
+    bases = p["prepare_basis"], p["measure_basis"]
+    outcome = _built("basis", observer_lists, *bases, ensemble, seed, t_d)
     columns = ["pair", "agreement", "ensemble", "prepare_basis", "measure_basis"]
     pairs = (("L_A:L_B", "a_b"), ("L_A:L_A2", "a_a2"), ("L_B:L_A2", "b_a2"))
     shared = {column: outcome[column] for column in columns[2:]}

@@ -9,11 +9,9 @@ diagonal at t >> t_d while forming a semigroup; per-pair rates are not
 resolved.
 
 ``decohered_limit`` is the pinching Pi onto the pointer-frame diagonal and
-``dephase`` is f rho + (1 - f) Pi(rho), f = exp(-t/t_d).  Frames are also
-applied outside this module: ``sieve`` evolves candidates in the pointer
-frame (``_pointer_frames``, ``evolve_entropy``, ``_split_step``) and
-``records`` turns record cells into the Hadamard frame (``_cell_matrices``,
-``record_consensus``).
+``dephase`` is f rho + (1 - f) Pi(rho), f = exp(-t/t_d).  No other module
+applies a frame: the sieve, the records and the CLI go through
+``_pointer_coefficients`` (W^H psi) and ``_in_pointer_frame`` (W^H X W).
 
 The two named frames, computational and Hadamard, stay implicit: a channel
 from ``computational``, ``hadamard`` or a named ``channel_from_spec`` holds
@@ -220,6 +218,11 @@ class DephasingChannel:
     def dim(self) -> int:
         return self._dim
 
+    @property
+    def _frame_key(self):
+        """The frame as the frame helpers take it: its kind, or W if dense; never built."""
+        return self.basis if self._frame == "dense" else self._frame
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DephasingChannel(frame={self._frame!r}, dim={self._dim}, t_d={self.t_d!r})"
 
@@ -247,14 +250,22 @@ def channel_from_spec(spec, t_d: float, num_qubits: int) -> DephasingChannel:
     return DephasingChannel(mat, t_d)
 
 
-def _pointer_coefficients(channel: DephasingChannel, amplitudes: np.ndarray) -> np.ndarray:
-    """W^H psi, the coefficients of a state vector in the channel's pointer frame."""
-    if channel._frame == "computational":
-        return amplitudes
-    if channel._frame == "hadamard":
-        n = channel.dim.bit_length() - 1
-        return _walsh_hadamard((amplitudes * _hadamard_entry(n))[None])[0]
-    return channel.basis.conj().T @ amplitudes
+def _pointer_coefficients(frame, rows: np.ndarray) -> np.ndarray:
+    """W^H psi for each row psi of ``rows`` (..., d); ``frame`` is a ``_frame_key``."""
+    if isinstance(frame, np.ndarray):
+        return rows @ frame.conj()
+    if frame == "computational":
+        return rows
+    _require(frame == "hadamard", "unknown pointer frame {!r}", frame)
+    d = rows.shape[-1]
+    scaled = rows.reshape(-1, d) * _hadamard_entry(d.bit_length() - 1)
+    return _walsh_hadamard(scaled).reshape(rows.shape)
+
+
+def _in_pointer_frame(frame, mat: np.ndarray) -> np.ndarray:
+    """W^H X W for a d x d ``mat``: B = W^H X column by column, then B W = (W^H B^H)^H."""
+    half = _pointer_coefficients(frame, mat.T).T
+    return _pointer_coefficients(frame, half.conj()).conj()
 
 
 @dataclass(frozen=True, eq=False)

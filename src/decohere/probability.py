@@ -98,7 +98,7 @@ def uniform_outcome_probabilities(
     """
     if channel.dim != psi.dim:
         raise ValueError("channel dimension does not match state")
-    coeffs = _pointer_coefficients(channel, psi.amplitudes)
+    coeffs = _pointer_coefficients(channel._frame_key, psi.amplitudes)
     mags = np.abs(coeffs)
     _require(
         float(mags.max() - mags.min()) <= EQUAL_MAGNITUDE_TOL,

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dephasing import DephasingChannel, _hadamard_frame, decohered_limit
+from .dephasing import DephasingChannel, _in_pointer_frame, decohered_limit
 from .probability import UNDEFINED_CONDITIONAL, ProbabilityVector
 from .sieve import (
     DynamicsSpec,
@@ -204,15 +204,16 @@ def redundant_records(model: MemoryModel, cells: int) -> DensityMatrix:
     return _trusted(DensityMatrix, "elements", total, num_qubits=n)
 
 
+def _readout_frame(basis: str, name: str) -> str:
+    """The frame of the ``name`` basis: computational for "pointer", Hadamard for "conjugate"."""
+    _require(basis in ("pointer", "conjugate"), "unknown {} {!r}", name, basis)
+    return "hadamard" if basis == "conjugate" else "computational"
+
+
 def _cell_matrices(model: MemoryModel, record_basis: str) -> list[np.ndarray]:
     """Each outcome's one-cell record, in the frame that ``record_basis`` names."""
-    cell_mats = [_record_matrix(r) for r in model.record_states]
-    if record_basis == "conjugate":
-        frame = _hadamard_frame(model.record_qubits)
-        return [frame @ m @ frame.conj().T for m in cell_mats]
-    if record_basis != "pointer":
-        raise ValueError(f"unknown record basis {record_basis!r}")
-    return cell_mats
+    frame = _readout_frame(record_basis, "record basis")
+    return [_in_pointer_frame(frame, _record_matrix(r)) for r in model.record_states]
 
 
 def _record_register(
@@ -280,15 +281,10 @@ def record_consensus(model: MemoryModel, cells: int, basis: str) -> float:
         raise ValueError("consensus check expects single-qubit record cells")
     if cells < 1:
         raise ValueError("need at least one memory cell")
-    if basis == "conjugate":
-        ends = _hadamard_frame(1)
-    elif basis == "pointer":
-        ends = np.eye(2)
-    else:
-        raise ValueError(f"unknown readout basis {basis!r}")
+    frame = _readout_frame(basis, "readout basis")
     total = 0.0
     for p_i, record in zip(model.probabilities.values, model.record_states):
-        cell_weights = np.vecdot(ends, _record_matrix(record) @ ends, axis=0).real
+        cell_weights = _in_pointer_frame(frame, _record_matrix(record)).diagonal().real
         total += p_i * float(np.sum(cell_weights**cells))
     return total
 

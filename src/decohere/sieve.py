@@ -10,14 +10,14 @@ at every grid time: the purity is
 sum_i |x_ii|^2 + exp(-2t/t_d) sum_{i!=j} |x_ij|^2, one outer product of
 per-candidate sums with the sample times.  With a self-Hamiltonian H,
 evolution uses first-order operator splitting per grid interval: the exact
-unitary V = W^H exp(-iH dt) W followed by the exact dephasing mask D for the
-same dt, X' = D o (V X V^H).  That step is a fixed linear map, built once
-per distinct dt as a d^2 x d^2 superoperator.  For d > 2 the block advances
-by one (B, d^2) x (d^2, d^2) product per grid interval, straight into its
-state record.  A qubit keeps only its purities: its intervals are grouped
-into chunks of about sqrt(n) steps, and the block advances by one
-(B, 4) x (4, 4k) product per chunk against the chunk's prefix products,
-which yields the k states of the chunk.
+unitary V = exp(-iH' dt) of H' = W^H H W, H in the pointer frame, then the
+exact dephasing mask D for the same dt, X' = D o (V X V^H).  That step is a
+fixed linear map, built once per distinct dt as a d^2 x d^2 superoperator.
+For d > 2 the block advances by one (B, d^2) x (d^2, d^2) product per grid
+interval, straight into its state record.  A qubit keeps only its purities:
+its intervals are grouped into chunks of about sqrt(n) steps, and the block
+advances by one (B, 4) x (4, 4k) product per chunk against the chunk's
+prefix products, which yields the k states of the chunk.
 
 Entropies come from the spectrum of each sampled state.  A qubit's spectrum
 follows from its purity alone: lambda+ = (1 + sqrt(2P - 1)) / 2 and
@@ -47,7 +47,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .dephasing import DephasingChannel
+from .dephasing import DephasingChannel, _in_pointer_frame, _pointer_coefficients
 from .states import (
     DensityMatrix,
     HERMITICITY_TOL,
@@ -179,11 +179,12 @@ def _qubit_spectra(purities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def _pointer_frames(states: Sequence[PureState], basis: np.ndarray) -> np.ndarray:
+def _pointer_frames(states: Sequence[PureState], channel: DephasingChannel) -> np.ndarray:
     """Pointer-frame density matrices |c><c|, c = W^H psi, of a block, (B, d, d)."""
-    if any(psi.dim != basis.shape[0] for psi in states):
+    d = channel.dim
+    if any(psi.dim != d for psi in states):
         raise ValueError("dynamics dimension does not match state")
-    coeffs = np.array([psi.amplitudes for psi in states]) @ basis.conj()
+    coeffs = _pointer_coefficients(channel._frame_key, np.array([s.amplitudes for s in states]))
     return coeffs[:, :, None] * coeffs[:, None, :].conj()
 
 
@@ -192,12 +193,12 @@ def _split_step(
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Purities (B, T) and, for d > 2, pointer-frame states (B, T, d, d).
 
-    Each interval applies V = W^H exp(-iH dt) W and then the dephasing mask
-    D, X' = D o (V X V^H).  On row-major vec(X) that is the fixed matrix
-    diag(vec D) kron(V, conj V); its transpose S advances the whole block as
-    (B, d^2) @ S.  ``_step_maps`` builds S once per distinct dt (a linspace
-    grid has a few dt values that differ in the last ulp, and the recorded
-    times can end on a shorter interval); only that function knows the
+    Each interval applies V = exp(-iH' dt), H' = W^H H W, and then the
+    dephasing mask D, X' = D o (V X V^H).  On row-major vec(X) that is the
+    fixed matrix diag(vec D) kron(V, conj V); its transpose S advances the
+    whole block as (B, d^2) @ S.  ``_step_maps`` builds S once per distinct
+    dt (a linspace grid has a few dt values that differ in the last ulp, and
+    the recorded times can end on a shorter interval); only it knows the
     splitting, so an exact generator exp(L dt) would replace it alone.
 
     For d > 2 every state is kept for its spectrum, so the block advances
@@ -273,8 +274,8 @@ def _chunk_prefixes(steps: np.ndarray, chunk_steps: np.ndarray) -> Iterator[np.n
 def _step_maps(dynamics: DynamicsSpec, dts: np.ndarray) -> np.ndarray:
     """Split-step maps S (len(dts), d^2, d^2), one per dt."""
     d = dynamics.channel.dim
-    evals, vecs = np.linalg.eigh(dynamics.self_hamiltonian)
-    vecs = dynamics.channel.basis.conj().T @ vecs
+    ham = _in_pointer_frame(dynamics.channel._frame_key, dynamics.self_hamiltonian)
+    evals, vecs = np.linalg.eigh(ham)
     v = (vecs * np.exp(-1j * evals * dts[:, None])[:, None, :]) @ vecs.conj().T
     damp = np.exp(-dts / dynamics.channel.t_d)[:, None, None] * (1.0 - np.eye(d)) + np.eye(d)
     steps = np.empty((dts.size, d * d, d * d), dtype=complex)
@@ -340,13 +341,13 @@ def evolve_entropy(
     from the decohered limit of the end state, or from the cap-time state
     itself when a self-Hamiltonian keeps rotating the register.
     """
-    basis = dynamics.channel.basis
+    channel = dynamics.channel
     if isinstance(state, PureState):
-        frames = _pointer_frames([state], basis)
-    elif state.dim != basis.shape[0]:
+        frames = _pointer_frames([state], channel)
+    elif state.dim != channel.dim:
         raise ValueError("dynamics dimension does not match state")
     else:
-        frames = (basis.conj().T @ state.elements @ basis)[None]
+        frames = _in_pointer_frame(channel._frame_key, state.elements)[None]
     times = dynamics.recorded_times()
     purities, entropies, equilibrium = _evolve_block(frames, dynamics, times)
     return EntropyTrajectory(
@@ -448,9 +449,11 @@ def sieve_rank(
 ) -> list[SieveReport]:
     """Rank candidate initial states by descending purity horizon.
 
-    Ties break by ascending final entropy, then by candidate position, so
-    the order is deterministic and independent of evaluation order.
-    Candidates are evolved in blocks of ``BLOCK_SIZE``.
+    Ties break by ascending final entropy, then by candidate position.  The
+    horizon is compared to 30 significant bits (about 9 digits) and the
+    entropy (0 to n bits) to 9 decimals, so exact ties that rounding split
+    keep their input order; a pair straddling a rounding boundary still
+    orders by value.  Candidates are evolved in blocks of ``BLOCK_SIZE``.
     """
     if not candidates:
         raise ValueError("need at least one candidate state")
@@ -462,16 +465,16 @@ def sieve_rank(
             raise ValueError(f"{name} has {len(values)} entries for {count} candidates")
     times = dynamics.recorded_times()
     floor = 1.0 / dynamics.channel.dim
-    reports: list[tuple[float, float, int, SieveReport]] = []
+    reports: list[SieveReport] = []
     for start in range(0, count, BLOCK_SIZE):
-        frames = _pointer_frames(candidates[start : start + BLOCK_SIZE], dynamics.channel.basis)
+        frames = _pointer_frames(candidates[start : start + BLOCK_SIZE], dynamics.channel)
         purities, entropies, equilibrium = _evolve_block(frames, dynamics, times)
         t_p, t_p_capped = _entropy_horizons(times, entropies, equilibrium)
         t_pp, t_pp_capped = _purity_horizons(times, purities, floor)
         for k in range(frames.shape[0]):
             idx = start + k
             theta, phi = (angles[idx] if angles is not None else (None, None))
-            report = SieveReport(
+            reports.append(SieveReport(
                 label=labels[idx] if labels is not None else f"candidate-{idx}",
                 t_p=float(t_p[k]),
                 t_p_capped=bool(t_p_capped[k]),
@@ -480,7 +483,9 @@ def sieve_rank(
                 final_entropy=float(entropies[k, -1]),
                 theta=theta,
                 phi=phi,
-            )
-            reports.append((-report.tprime_p, report.final_entropy, idx, report))
-    reports.sort(key=lambda item: item[:3])
-    return [item[3] for item in reports]
+            ))
+    mantissa, exponent = np.frexp([r.tprime_p for r in reports])
+    horizon_keys = np.ldexp(np.round(mantissa * 2**30), exponent - 30)
+    entropy_keys = np.round([r.final_entropy for r in reports], 9)
+    order = np.lexsort((np.arange(count), entropy_keys, -horizon_keys))
+    return [reports[i] for i in order.tolist()]

@@ -7,7 +7,10 @@ dephasing as four d x d products per step in the register frame.  The
 tests compare the block evaluation in ``decohere.sieve`` against it.
 
 ``split_step`` is the block split step as it was before the chunked
-propagation: one (B, d^2) @ (d^2, d^2) product per recorded interval.
+propagation: one (B, d^2) @ (d^2, d^2) product per recorded interval.  It
+takes the Hamiltonian into the pointer frame as the sieve does, so that it
+isolates the propagation; ``frame_oracle.step_maps`` keeps the step maps
+as they were formed before, from W^H times the eigenvectors of H.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from decohere.dephasing import _in_pointer_frame
 from decohere.sieve import (
     DEGENERATE_GAP,
     ENTROPY_CAP_THRESHOLD,
@@ -129,8 +133,8 @@ def split_step(
     row-major vec(X), S built once per distinct dt.
     """
     b, d, _ = frames.shape
-    evals, vecs = np.linalg.eigh(dynamics.self_hamiltonian)
-    vecs = dynamics.channel.basis.conj().T @ vecs
+    ham = _in_pointer_frame(dynamics.channel._frame_key, dynamics.self_hamiltonian)
+    evals, vecs = np.linalg.eigh(ham)
     off_diag = 1.0 - np.eye(d)
     steps: dict[float, np.ndarray] = {}
     purities = np.empty((b, times.size))

@@ -110,6 +110,11 @@ BAD_PARAMETERS = [
      "uniform_n"),
     ("seed-fraction", "observer-lists", {}, 1.7, [], "seed"),
     ("seed-boolean", "observer-lists", {}, True, [], "seed"),
+    # observer_lists checks its bases itself; the runner turns its ValueError into a config error.
+    ("observer-prepare_basis-unknown", "observer-lists", {"prepare_basis": "diagonal"}, 3, [],
+     "prepare_basis"),
+    ("observer-measure_basis-list", "observer-lists", {"measure_basis": ["pointer"]}, 3, [],
+     "measure_basis"),
 ]
 
 
@@ -417,6 +422,15 @@ def test_observer_lists_deterministic_per_seed():
     assert first == second
     third = observer_lists("conjugate", "pointer", 500, seed=4)
     assert third != first
+
+
+def test_observer_lists_raises_value_error_on_bad_input():
+    # A library function: only the CLI's runner turns these into config errors.
+    cases = [("diagonal", "pointer", 10, "prepare_basis"), ("pointer", "x", 10, "measure_basis"),
+             ("pointer", "pointer", 0, "ensemble")]
+    for prepare_basis, measure_basis, ensemble, name in cases:
+        with pytest.raises(ValueError, match=name):
+            observer_lists(prepare_basis, measure_basis, ensemble, seed=1)
 
 
 def test_observer_lists_accepts_numpy_scalars():

@@ -179,19 +179,29 @@ def test_named_channel_beyond_dense_cap_raises(frame):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_pointer_coefficients_match_dense_product(n):
+    """One state or a block of rows, in either named frame or a dense one."""
     d = 2**n
-    for frame in NAMED:
-        channel = DephasingChannel._named(frame, n, 1.0)
+    for frame in NAMED + ("dense",):
+        if frame == "dense":
+            q, _ = np.linalg.qr(RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d)))
+            channel = DephasingChannel(q, 1.0)
+        else:
+            channel = DephasingChannel._named(frame, n, 1.0)
         psi = _random_amplitudes(n, "complex")
-        got = _pointer_coefficients(channel, psi)
+        got = _pointer_coefficients(channel._frame_key, psi)
+        rows = np.array([_random_amplitudes(n, "complex") for _ in range(5)])
+        block = _pointer_coefficients(channel._frame_key, rows)
         # Flat pointer-frame magnitudes, random phases.
         coeffs = np.exp(2j * np.pi * RNG.uniform(size=d)) / math.sqrt(d)
         if frame == "hadamard":
             coeffs = _hadamard_entry(n) * _walsh_hadamard(coeffs[None])[0]
+        elif frame == "dense":
+            coeffs = q @ coeffs
         flat = PureState(coeffs, n)
         probs = uniform_outcome_probabilities(flat, channel).values
-        assert "basis" not in vars(channel)
+        assert frame == "dense" or "basis" not in vars(channel)
         w = channel.basis
         assert np.max(np.abs(got - w.conj().T @ psi)) <= TOL
+        assert block.shape == rows.shape
+        assert np.max(np.abs(block - rows @ w.conj())) <= TOL
         assert np.max(np.abs(probs - np.abs(w.conj().T @ flat.amplitudes) ** 2)) <= TOL
-

@@ -226,3 +226,6 @@ def test_record_consensus_matches_full_conjugation(cells):
         for basis in ("pointer", "conjugate"):
             got = record_consensus(model, cells, basis)
             assert abs(got - frame_oracle.record_consensus(model, cells, basis)) <= TOL
+            # Against explicit readout ends: the pointer basis reads the same diagonal.
+            ends = frame_oracle.readout_consensus(model, cells, basis)
+            assert got == ends if basis == "pointer" else abs(got - ends) <= TOL

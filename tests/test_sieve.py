@@ -156,6 +156,25 @@ def test_sieve_coarse_bloch_grid_puts_poles_first():
     assert all(r.final_entropy <= 1e-12 for r in top)
 
 
+def test_tied_candidates_rank_in_position_order():
+    """Candidates tied in exact arithmetic differ only by rounding; their position decides.
+
+    In the computational frame the horizons depend on theta alone, so every
+    theta row of the grid is one tie, the pole theta = pi repeated across
+    phi included.
+    """
+    angles = bloch_grid(theta_steps=6, phi_steps=12)
+    candidates = [bloch_state(t, p) for t, p in angles]
+    reports = sieve_rank(candidates, z_dynamics(steps=500), angles=angles)
+    position = {angle: i for i, angle in enumerate(angles)}
+    ranked = [position[(r.theta, r.phi)] for r in reports]
+    pole = [i for i in ranked if angles[i][0] == math.pi]
+    assert pole == list(range(len(angles) - 12, len(angles)))
+    for theta in {t for t, _ in angles}:
+        row = [i for i in ranked if angles[i][0] == theta]
+        assert row == sorted(row)
+
+
 def test_sieve_hadamard_channel_prefers_conjugate_states():
     ch = DephasingChannel.hadamard(1, 1.0)
     dyn = DynamicsSpec(ch, uniform_grid(50.0, 500), 50.0)

@@ -6,6 +6,8 @@ step reorders the arithmetic of several hundred sequential steps, so it
 agrees to 1e-10.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -73,7 +75,7 @@ def _assert_matches_oracle(candidates, dynamics, tol, angles=None):
     oracle_trajs = [sieve_oracle.evolve_entropy(c, dynamics) for c in candidates]
     for start in range(0, len(candidates), BLOCK_SIZE):
         block = candidates[start : start + BLOCK_SIZE]
-        frames = sieve._pointer_frames(block, dynamics.channel.basis)
+        frames = sieve._pointer_frames(block, dynamics.channel)
         purities, entropies, equilibrium = sieve._evolve_block(frames, dynamics, times)
         for k, traj in enumerate(oracle_trajs[start : start + len(block)]):
             assert _close(purities[k], traj.purities, tol)
@@ -159,8 +161,12 @@ def test_mixed_state_trajectory_matches_oracle(num_qubits):
     d = 2**num_qubits
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = DensityMatrix.from_matrix(a @ a.conj().T / np.trace(a @ a.conj().T))
-    channel = DephasingChannel(_random_unitary(rng, d), 1.0)
-    for ham in (None, _random_hermitian(rng, d)):
+    channels = [DephasingChannel(_random_unitary(rng, d), 1.0)]
+    hamiltonian = _random_hermitian(rng, d)
+    # The named frames take the state into the pointer frame without a frame matrix.
+    for frame in ("computational", "hadamard"):
+        channels.append(getattr(DephasingChannel, frame)(num_qubits, 1.0))
+    for channel, ham in product(channels, (None, hamiltonian)):
         dynamics = DynamicsSpec(channel, uniform_grid(10.0, 200), 12.0, self_hamiltonian=ham)
         tol = CLOSED_TOL if ham is None else SPLIT_TOL
         new = evolve_entropy(rho, dynamics)

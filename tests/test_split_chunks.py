@@ -143,7 +143,7 @@ def test_qubit_split_step_keeps_no_state_record():
     ham = np.array([[1.0, 0.3], [0.3, -1.0]], dtype=complex)
     dynamics = DynamicsSpec(channel, uniform_grid(50.0, 500), 50.0, self_hamiltonian=ham)
     times = dynamics.recorded_times()
-    frames = sieve._pointer_frames(candidates, channel.basis)
+    frames = sieve._pointer_frames(candidates, channel)
     assert frames.shape[0] == 16 and times.size == 501
     purities, states = sieve._split_step(frames, dynamics, times)
     assert states is None and purities.shape == (16, 501)

@@ -6,8 +6,10 @@ constructor, which copies the array and runs the Hermiticity, trace and
 spectrum checks.  ``environment_record`` and ``bloch_state`` build their
 states through the public ``EnvironmentRecord`` and ``PureState``
 constructors, which copy and re-check the norm.  ``branch_count`` builds the
-whole 4^cells record register only to read its diagonal.  The tests compare the trusted, diagonal-only
-code in ``decohere`` against this.
+whole 4^cells record register only to read its diagonal; its record cells
+come from ``records._cell_matrices``, whose frame ``frame_oracle`` checks.
+The tests compare the trusted, diagonal-only code in ``decohere`` against
+this.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import Iterable
 
 import numpy as np
 
-from decohere.dephasing import DephasingChannel, _hadamard_frame
+from decohere.dephasing import DephasingChannel
+from decohere.records import _cell_matrices
 from decohere.redundancy import NULL_WEIGHT, EnvironmentRecord
 from decohere.states import DensityMatrix, PureState, check_qubits
 from pinch_oracle import _pinch
@@ -109,15 +112,8 @@ def redundant_records(model, cells: int) -> DensityMatrix:
 
 def _record_register_state(model, record_basis: str, cells: int) -> np.ndarray:
     """Density matrix of the bare record register for replicated records."""
-    width = model.record_qubits
-    cell_mats = [_record_matrix(r) for r in model.record_states]
-    if record_basis == "conjugate":
-        frame = _hadamard_frame(width)
-        cell_mats = [frame @ m @ frame.conj().T for m in cell_mats]
-    elif record_basis != "pointer":
-        raise ValueError(f"unknown record basis {record_basis!r}")
-
-    dim = 2 ** (cells * width)
+    cell_mats = _cell_matrices(model, record_basis)
+    dim = 2 ** (cells * model.record_qubits)
     rho = np.zeros((dim, dim), dtype=complex)
     for p_i, cell in zip(model.probabilities.values, cell_mats):
         mat = cell
