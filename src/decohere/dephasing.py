@@ -420,7 +420,8 @@ def pointer_commutator_defect(
             f"observable dimension {obs.shape[0]} does not match apparatus "
             f"dimension {hamiltonians.apparatus_dim}"
         )
-    full_obs = np.kron(obs, np.eye(hamiltonians.environment_dim, dtype=complex))
-    total = hamiltonians.total()
-    comm = total @ full_obs - full_obs @ total
+    da, de = hamiltonians.apparatus_dim, hamiltonians.environment_dim
+    # Axes (apparatus, environment) for rows, then for columns.
+    total = hamiltonians.total().reshape(da, de, da, de)
+    comm = np.einsum("aebf,bc->aecf", total, obs) - np.einsum("ab,becf->aecf", obs, total)
     return float(np.max(np.abs(comm)))

@@ -20,6 +20,7 @@ from .states import (
     Projector,
     PureState,
     born_probability,
+    _expectation,
     _frame_defect,
     _hermiticity_defect,
     _readonly,
@@ -214,9 +215,8 @@ def sum_rule_violation(
     bc = bm @ cm
     # For Hermitian projectors cb = (bc)^H, so one product tests commutation.
     if _hermiticity_defect(bc) <= COMMUTATOR_TOL:
-        # join - b - c + meet is one matrix; for Hermitian rho,
-        # Tr(A rho) = vdot(rho, A), so one trace gives the whole sum.
-        return abs(float(np.vdot(rm, (bm + cm - bc) - bm - cm + bc).real))
+        # join - b - c + meet is one matrix, so one trace gives the whole sum.
+        return abs(_expectation((bm + cm - bc) - bm - cm + bc, rm))
     join_p, meet_p = _union_and_intersection(b, c)
     mu_join = born_probability(rho, join_p)
     mu_meet = born_probability(rho, meet_p) if meet_p.rank else 0.0
@@ -232,12 +232,13 @@ def conditional_product_check(
     on commuting events).  Returns NaN - the undefined-conditional flag -
     when a conditioning event has vanishing probability.
     """
+    _require(a.dim == b.dim == c.dim == rho.dim, "projector dimensions must match the state")
     for x, y in combinations((a.elements, b.elements, c.elements), 2):
         defect = _hermiticity_defect(x @ y)
         _require(defect <= COMMUTATOR_TOL, "projectors must commute pairwise, defect {!r}", defect)
-    mu_a = float(np.real(np.trace(a.elements @ rho.elements)))
-    mu_ba = float(np.real(np.trace(b.elements @ a.elements @ rho.elements)))
-    mu_cba = float(np.real(np.trace(c.elements @ b.elements @ a.elements @ rho.elements)))
+    mu_a = _expectation(a.elements, rho.elements)
+    mu_ba = _expectation(b.elements @ a.elements, rho.elements)
+    mu_cba = _expectation(c.elements @ b.elements @ a.elements, rho.elements)
     if mu_a < SUM_TOL or mu_ba < SUM_TOL:
         return UNDEFINED_CONDITIONAL
     return abs(mu_cba / mu_a - (mu_cba / mu_ba) * (mu_ba / mu_a))

@@ -36,9 +36,9 @@ from .states import (
     Projector,
     PureState,
     _check_register,
+    _expectation,
     _require,
     _trusted,
-    partial_trace,
 )
 
 RECORD_ORTHOGONALITY_TOL = 1e-10
@@ -83,9 +83,7 @@ class MemoryModel:
                 if isinstance(a, PureState) and isinstance(b, PureState):
                     defect = abs(a.overlap(b))
                 else:
-                    defect = float(
-                        np.real(np.trace(_record_matrix(a) @ _record_matrix(b)))
-                    )
+                    defect = _expectation(_record_matrix(a), _record_matrix(b))
                 message = "record states {} and {} not orthogonal: defect {!r}"
                 _require(defect <= RECORD_ORTHOGONALITY_TOL, message, i, j, defect)
 
@@ -111,26 +109,30 @@ def correlate(model: MemoryModel) -> DensityMatrix:
     return redundant_records(model, 1)
 
 
+def _conditioned(rho_sm: DensityMatrix, record: Projector, system_dim: int) -> np.ndarray:
+    """C = Tr_M[(1 (x) R) rho], O(d^2) over a view of rho: Tr C = p(mu), Tr(P C) = p(sigma, mu)."""
+    blocks = rho_sm.elements.reshape(system_dim, record.dim, system_dim, record.dim)
+    return np.einsum("aibj,ji->ab", blocks, record.elements)
+
+
 def conditional_g(
     rho_sm: DensityMatrix, record: Projector, proposition: Projector
 ) -> float:
     """Predictive conditional probability p(sigma, mu) / p(mu).
 
-    ``proposition`` acts on the system factor, ``record`` on the memory
-    factor; both are extended by identity on the other factor.  Returns
+    ``proposition`` acts on the system factor and ``record`` on the memory
+    factor alone: g reads P on the system block that R selects.  Returns
     NaN (the undefined-conditional flag) when the record has no weight.
     """
     if proposition.dim * record.dim != rho_sm.dim:
         raise ValueError(
             "proposition and record dimensions must factor the joint state"
         )
-    record_full = np.kron(np.eye(proposition.dim, dtype=complex), record.elements)
-    joint_full = np.kron(proposition.elements, record.elements)
-    p_record = float(np.real(np.trace(record_full @ rho_sm.elements)))
+    conditioned = _conditioned(rho_sm, record, proposition.dim)
+    p_record = float(np.trace(conditioned).real)
     if p_record < 1e-12:
         return UNDEFINED_CONDITIONAL
-    p_joint = float(np.real(np.trace(joint_full @ rho_sm.elements)))
-    return p_joint / p_record
+    return _expectation(proposition.elements, conditioned) / p_record
 
 
 def _record_support_projector(record: RecordState) -> Projector:
@@ -146,15 +148,10 @@ def conditional_system_state(
 ) -> DensityMatrix:
     """Renormalized system state conditioned on one record outcome's support."""
     rec_proj = _record_support_projector(model.record_states[outcome])
-    full = np.kron(np.eye(2**model.system_qubits, dtype=complex), rec_proj.elements)
-    pinched = full @ rho_sm.elements @ full
-    weight = float(np.real(np.trace(pinched)))
+    conditioned = _conditioned(rho_sm, rec_proj, 2**model.system_qubits)
+    weight = float(np.trace(conditioned).real)
     _require(weight >= 1e-12, "outcome {} has no weight in the joint state", outcome)
-    pinched = pinched / weight
-    sys_qubits = range(model.system_qubits)
-    return partial_trace(
-        DensityMatrix(pinched, model.system_qubits + model.record_qubits), sys_qubits
-    )
+    return DensityMatrix(conditioned / weight, model.system_qubits)
 
 
 def outcome_horizon(
@@ -171,14 +168,10 @@ def outcome_horizon(
     ``measure`` selecting the entropy or the purity functional.  Horizons
     can and typically will differ between outcomes.
     """
-    rho_sm = correlate(model)
-    conditional = conditional_system_state(rho_sm, model, outcome)
-    trajectory = evolve_entropy(conditional, dynamics)
-    if measure == "entropy":
-        return predictability_horizon(trajectory)
-    if measure == "purity":
-        return purity_horizon(trajectory)
-    raise ValueError(f"unknown horizon measure {measure!r}")
+    horizons = {"entropy": predictability_horizon, "purity": purity_horizon}
+    _require(measure in horizons, "unknown horizon measure {!r}", measure)
+    conditional = conditional_system_state(correlate(model), model, outcome)
+    return horizons[measure](evolve_entropy(conditional, dynamics))
 
 
 def _kron_power(block: np.ndarray, cells: int) -> np.ndarray:

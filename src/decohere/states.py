@@ -115,6 +115,11 @@ def _norm_sq(amplitudes: np.ndarray) -> float:
     return float(np.vdot(amplitudes, amplitudes).real)
 
 
+def _expectation(op: np.ndarray, rho: np.ndarray) -> float:
+    """Re Tr(op rho) as Re Tr(rho^H op), in one O(d^2) pass: exact if op or rho is Hermitian."""
+    return float(np.vdot(rho, op).real)
+
+
 def _entropies_from_spectra(spectra: Sequence[np.ndarray]) -> np.ndarray:
     """Entropies in bits; ``spectra[k]`` is the k-th eigenvalue of every state (1-D for one).
 
@@ -414,6 +419,6 @@ def born_probability(rho: DensityMatrix, projector: Projector) -> float:
         raise ValueError(
             f"projector dimension {projector.dim} does not match state dimension {rho.dim}"
         )
-    value = float(np.real(np.einsum("ij,ji->", projector.elements, rho.elements)))
+    value = _expectation(projector.elements, rho.elements)
     _require(-1e-9 <= value <= 1.0 + 1e-9, "Born probability {!r} outside [0, 1]", value)
     return min(1.0, max(0.0, value))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import trace_oracle
 
 from decohere.dephasing import (
     DephasingChannel,
@@ -152,6 +153,25 @@ def test_commutator_defect_with_noncommuting_self_hamiltonian():
     # pointer condition for the coupling's own eigenbasis.
     spec = HamiltonianSpec(SX, np.kron(SZ, SZ))
     assert pointer_commutator_defect(spec, SZ) > 1.0
+
+
+def random_hermitian(d: int) -> np.ndarray:
+    a = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
+    return (a + a.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("da, de", [(2, 1), (2, 2), (3, 5), (4, 8), (2, 64)])
+def test_commutator_defect_matches_trace_oracle(da, de):
+    pointer = np.diag(RNG.normal(size=da))
+    specs = (
+        HamiltonianSpec(random_hermitian(da), random_hermitian(da * de)),
+        # Both terms diagonal on the apparatus, so ``pointer`` commutes with the total.
+        HamiltonianSpec(pointer, np.kron(pointer, random_hermitian(de))),
+    )
+    for spec in specs:
+        for obs in (random_hermitian(da), pointer, np.diag(RNG.normal(size=da))):
+            got = pointer_commutator_defect(spec, obs)
+            assert abs(got - trace_oracle.pointer_commutator_defect(spec, obs)) <= 1e-12
 
 
 def test_commutator_defect_rejects_non_hermitian():

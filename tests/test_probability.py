@@ -3,6 +3,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+import trace_oracle
 
 from decohere.dephasing import DephasingChannel
 from decohere.probability import (
@@ -297,8 +298,10 @@ def test_sum_rule_matches_four_trace_formula():
     rotated = [Projector.from_matrix(u @ p.elements @ u.conj().T) for p in events[::17]]
     for pb in rotated:
         for pc in rotated:
+            got = sum_rule_violation(rho, pb, pc)
             expected = float(_four_traces(rho.elements, pb.elements, pc.elements))
-            assert abs(sum_rule_violation(rho, pb, pc) - expected) <= 1e-12
+            assert abs(got - expected) <= 1e-12
+            assert abs(got - trace_oracle.commuting_sum_rule(rho, pb, pc)) <= 1e-12
     # random noncommuting pairs
     for _ in range(200):
         rank_b, rank_c = (int(r) for r in RNG.integers(1, 8, size=2))
@@ -349,9 +352,33 @@ def test_conditional_product_flags_undefined():
     assert math.isnan(conditional_product_check(rho, a, b, c))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_conditional_product_matches_trace_oracle(n):
+    d = 2**n
+    rho = random_density(n)
+    u = _random_unitary(d)
+    for _ in range(20):
+        # Pairwise commuting events: random unions of the columns of one dense frame.
+        a, b, c = (
+            Projector.from_matrix((u * (RNG.random(d) < 0.7)) @ u.conj().T) for _ in range(3)
+        )
+        got = conditional_product_check(rho, a, b, c)
+        expected = trace_oracle.conditional_product_check(rho, a, b, c)
+        assert math.isnan(got) == math.isnan(expected)
+        if not math.isnan(expected):
+            assert abs(got - expected) <= 1e-12
+
+
 def test_conditional_product_rejects_noncommuting():
     rho = DensityMatrix.maximally_mixed(1)
     a = Projector.onto_vector([1.0, 0.0])
     b = Projector.onto_vector(np.array([1.0, 1.0]) * SQ2)
     with pytest.raises(ValueError, match="commute"):
         conditional_product_check(rho, a, b, a)
+
+
+@pytest.mark.parametrize("wrong", [(0, 1, 2), (1,)], ids=["every-projector", "one-projector"])
+def test_conditional_product_rejects_mismatched_dimensions(wrong):
+    events = [Projector.identity(4) if k in wrong else Projector.identity(2) for k in range(3)]
+    with pytest.raises(ValueError, match="projector dimensions must match the state"):
+        conditional_product_check(DensityMatrix.maximally_mixed(1), *events)

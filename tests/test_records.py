@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import trace_oracle
 
 from decohere import records
 from decohere.dephasing import DephasingChannel, decohered_limit, dephase
@@ -13,6 +14,7 @@ from decohere.records import (
     branch_count,
     compressibility_proxy,
     conditional_g,
+    conditional_system_state,
     correlate,
     outcome_horizon,
     record_consensus,
@@ -110,8 +112,10 @@ def test_g_closed_form_under_symmetric_mixing():
     prop_0 = Projector.onto_vector([1.0, 0.0])
     previous = 1.0 + 1e-12
     for t in np.linspace(0.0, 4.0, 9):
-        g = conditional_g(dephase(rho, mixing, t), record_1, prop_0)
+        rho_t = dephase(rho, mixing, t)
+        g = conditional_g(rho_t, record_1, prop_0)
         assert g == pytest.approx((1.0 + math.exp(-2.0 * gamma * t)) / 2.0, abs=1e-12)
+        assert abs(g - trace_oracle.conditional_g(rho_t, record_1, prop_0)) <= 1e-12
         assert g <= previous
         previous = g
 
@@ -127,14 +131,120 @@ def test_g_broadened_proposition_is_certain():
     assert g == pytest.approx(1.0, abs=1e-12)
 
 
-def test_g_undefined_for_empty_record():
-    single = MemoryModel(
+def single_outcome_model() -> MemoryModel:
+    return MemoryModel(
         probabilities=ProbabilityVector([1.0]),
         system_states=(PureState.basis(1, 0),),
         record_states=(PureState.basis(1, 0),),
     )
+
+
+def test_g_undefined_for_empty_record():
     unused_record = Projector.onto_vector([0.0, 1.0])
-    assert math.isnan(conditional_g(correlate(single), unused_record, Projector.identity(2)))
+    rho = correlate(single_outcome_model())
+    for g in (conditional_g, trace_oracle.conditional_g):
+        assert math.isnan(g(rho, unused_record, Projector.identity(2)))
+
+
+def test_g_rejects_projectors_that_do_not_factor_the_state():
+    rho = correlate(two_outcome_model())
+    for g in (conditional_g, trace_oracle.conditional_g):
+        with pytest.raises(ValueError, match="must factor the joint state"):
+            g(rho, Projector.onto_vector([0.0, 1.0]), Projector.identity(4))
+
+
+def test_conditional_state_rejects_an_outcome_without_weight():
+    # The joint state holds only the record |0>; outcome 0 of the model reads |1>.
+    rho = correlate(single_outcome_model())
+    for conditional in (conditional_system_state, trace_oracle.conditional_system_state):
+        with pytest.raises(ValueError, match="outcome 0 has no weight in the joint state"):
+            conditional(rho, two_outcome_model(), 0)
+
+
+def random_pure(n: int) -> PureState:
+    amps = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
+    return PureState.from_amplitudes(amps / np.linalg.norm(amps))
+
+
+def random_density(n: int) -> DensityMatrix:
+    d = 2**n
+    a = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
+    mat = a @ a.conj().T
+    return DensityMatrix.from_matrix(mat / np.trace(mat))
+
+
+def random_frame(d: int) -> np.ndarray:
+    q, _ = np.linalg.qr(RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d)))
+    return q
+
+
+def random_projector(n: int) -> Projector:
+    rank = int(RNG.integers(1, 2**n + 1))
+    columns = random_frame(2**n)[:, :rank]
+    return Projector(columns @ columns.conj().T, rank)
+
+
+def random_mixed_record_model(system_qubits: int, record_qubits: int) -> MemoryModel:
+    """Two outcomes, random pure system states, mixed records on disjoint supports."""
+    d = 2**record_qubits
+    frame = random_frame(d)
+    split = int(RNG.integers(1, d)) if d > 2 else 1
+    record_states = []
+    for columns in (frame[:, :split], frame[:, split:]):
+        weights = RNG.random(columns.shape[1]) + 0.1
+        mat = (columns * (weights / weights.sum())) @ columns.conj().T
+        record_states.append(DensityMatrix.from_matrix(mat))
+    system_states = (random_pure(system_qubits), random_pure(system_qubits))
+    return MemoryModel(ProbabilityVector([0.3, 0.7]), system_states, tuple(record_states))
+
+
+def joint_state(source: str, model: MemoryModel) -> DensityMatrix:
+    """The model's correlated state, or a random state of its register."""
+    if source == "mixed-records":
+        return correlate(model)
+    return random_density(model.system_qubits + model.record_qubits)
+
+
+@pytest.mark.parametrize("source", ["random", "mixed-records"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_conditional_g_matches_trace_oracle(n, source):
+    rho = joint_state(source, random_mixed_record_model(n, n))
+    for _ in range(2):
+        record, proposition = random_projector(n), random_projector(n)
+        got = conditional_g(rho, record, proposition)
+        assert abs(got - trace_oracle.conditional_g(rho, record, proposition)) <= 1e-12
+
+
+@pytest.mark.parametrize("source", ["random", "mixed-records"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_conditional_system_state_matches_trace_oracle(n, source):
+    model = random_mixed_record_model(n, n)
+    rho = joint_state(source, model)
+    for outcome in (0, 1):
+        got = conditional_system_state(rho, model, outcome).elements
+        expected = trace_oracle.conditional_system_state(rho, model, outcome).elements
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_conditioning_never_builds_a_joint_sized_matrix():
+    """5 + 5 qubits: the joint state is 16 MB; the old d x d products peaked at 84 MB."""
+    model = random_mixed_record_model(5, 5)
+    rho = correlate(model)
+    assert rho.elements.nbytes == 16 << 20
+    record, proposition = random_projector(5), random_projector(5)
+    assert _traced_peak(lambda: conditional_g(rho, record, proposition)) < 2 << 20
+    assert _traced_peak(lambda: conditional_system_state(rho, model, 1)) < 2 << 20
 
 
 # --- per-outcome horizons -----------------------------------------------------
@@ -180,6 +290,16 @@ def test_outcome_horizons_differ_between_outcomes():
 def test_outcome_horizon_purity_measure():
     horizon = outcome_horizon(pointer_conjugate_model(), horizon_dynamics(), 1, measure="purity")
     assert horizon.value == pytest.approx(0.25, abs=1e-4)
+
+
+def test_outcome_horizon_checks_the_measure_before_any_work(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("worked on a request with an unknown measure")
+
+    monkeypatch.setattr(records, "correlate", unreachable)
+    monkeypatch.setattr(records, "evolve_entropy", unreachable)
+    with pytest.raises(ValueError, match="unknown horizon measure 'energy'"):
+        outcome_horizon(pointer_conjugate_model(), horizon_dynamics(), 1, measure="energy")
 
 
 # --- redundant records and branches --------------------------------------------
@@ -358,12 +478,21 @@ def test_mixed_records_accepted_when_supports_disjoint():
 
 
 def test_mixed_records_rejected_on_support_overlap():
-    with pytest.raises(ValueError, match="orthogonal"):
-        MemoryModel(
-            probabilities=ProbabilityVector([0.5, 0.5]),
-            system_states=(PureState.basis(1, 0), PureState.basis(1, 1)),
-            record_states=(mixed_record([0, 1]), mixed_record([1, 2])),
-        )
+    overlapping = [
+        (mixed_record([0, 1]), mixed_record([1, 2])),
+        (random_density(1), random_density(1)),
+        (random_density(3), random_density(3)),
+        (random_pure(5), random_density(5)),
+    ]
+    for a, b in overlapping:
+        with pytest.raises(ValueError, match="orthogonal") as info:
+            MemoryModel(
+                probabilities=ProbabilityVector([0.5, 0.5]),
+                system_states=(PureState.basis(1, 0), PureState.basis(1, 1)),
+                record_states=(a, b),
+            )
+        defect = float(str(info.value).rsplit(" ", 1)[1])
+        assert abs(defect - trace_oracle.record_overlap(a, b)) <= 1e-12
 
 
 def test_mixed_record_conditional_g_uses_support():

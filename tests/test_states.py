@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from decohere import states
+import trace_oracle
 from sieve_oracle import _entropy_bits
 from decohere.dephasing import (
     DephasingChannel,
@@ -387,6 +388,17 @@ def test_born_complete_set_sums_to_one():
         born_probability(rho, Projector.onto_basis_states(4, [k])) for k in range(4)
     )
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 10])
+def test_born_matches_trace_oracle(n):
+    rho = random_density(n) if n <= 8 else random_pure(n).to_density_matrix()
+    d = 2**n
+    u = random_unitary(d)
+    for rank in (1, d // 2, d):
+        frame = u[:, :rank]
+        p = Projector(frame @ frame.conj().T, rank)
+        assert abs(born_probability(rho, p) - trace_oracle.born_probability(rho, p)) <= 1e-12
 
 
 def test_born_rejects_dimension_mismatch():
