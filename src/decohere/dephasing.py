@@ -52,6 +52,7 @@ from .states import (
     _check_register,
     _frame_defect,
     _hermiticity_defect,
+    _pure_amplitudes,
     _require,
     _square,
     _trusted,
@@ -313,13 +314,13 @@ def _check_dims(rho: DensityMatrix, channel: DephasingChannel) -> None:
 
 def _diagonal(rho: DensityMatrix) -> np.ndarray:
     """The diagonal of rho; of a pure input, |psi_j|^2 as np.outer rounds it."""
-    amps = rho.__dict__.get("_amplitudes")
+    amps = _pure_amplitudes(rho)
     return rho.elements.diagonal() if amps is None else amps * amps.conj()
 
 
 def _xor_sums(rho: DensityMatrix) -> np.ndarray:
     """s[m] = sum_j Re rho[j, j ^ m], the sums the Hadamard-frame pinching spreads."""
-    amps = rho.__dict__.get("_amplitudes")
+    amps = _pure_amplitudes(rho)
     if amps is not None:
         # For rho = psi psi^H, |WHT psi|^2 = WHT s, and WHT WHT = d.
         spectrum = _walsh_hadamard(amps[None])
@@ -370,7 +371,7 @@ def dephase(rho: DensityMatrix, channel: DephasingChannel, t: float) -> DensityM
         elements = rho.elements
         mixed = factor * elements + (1.0 - factor) * _dense_pinch(elements, channel.basis)
         return _trusted(DensityMatrix, "elements", mixed, num_qubits=rho.num_qubits)
-    amps = rho.__dict__.get("_amplitudes")
+    amps = _pure_amplitudes(rho)
     if amps is None:
         mixed = factor * rho.elements
     else:

@@ -233,12 +233,13 @@ def conditional_product_check(
     when a conditioning event has vanishing probability.
     """
     _require(a.dim == b.dim == c.dim == rho.dim, "projector dimensions must match the state")
-    for x, y in combinations((a.elements, b.elements, c.elements), 2):
-        defect = _hermiticity_defect(x @ y)
+    am, rm = a.elements, rho.elements
+    ab, ac, bc = (x @ y for x, y in combinations((am, b.elements, c.elements), 2))
+    for xy in (ab, ac, bc):
+        defect = _hermiticity_defect(xy)
         _require(defect <= COMMUTATOR_TOL, "projectors must commute pairwise, defect {!r}", defect)
-    mu_a = _expectation(a.elements, rho.elements)
-    mu_ba = _expectation(b.elements @ a.elements, rho.elements)
-    mu_cba = _expectation(c.elements @ b.elements @ a.elements, rho.elements)
+    # Hermitian a, b, c, rho: Tr(ba rho), Tr(cba rho) conjugate Tr(ab rho), Tr(a(bc) rho).
+    mu_a, mu_ba, mu_cba = (_expectation(x, rm) for x in (am, ab, am @ bc))
     if mu_a < SUM_TOL or mu_ba < SUM_TOL:
         return UNDEFINED_CONDITIONAL
     return abs(mu_cba / mu_a - (mu_cba / mu_ba) * (mu_ba / mu_a))

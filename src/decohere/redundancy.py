@@ -21,6 +21,11 @@ bit-flip events a majority vote in the record basis survives any
 minority of flips, while a single phase-flip event erases the sign of the
 conjugate record entirely - the two branch ensembles become the same
 mixture, so even the most favorable decoder is reduced to a coin toss.
+A decoder facing the k scrambled qubits of a pattern P can use only the
+Hadamard-basis weights summed over those qubits.  With D_P the difference
+of the two branches' summed weights, its best guess succeeds with
+probability 1/2 + ||D_P||_1 / 4.  This is exact: max(a, b) =
+(a + b + |a - b|) / 2, and each normalized branch's weights sum to 1.
 """
 
 from __future__ import annotations
@@ -32,15 +37,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dephasing import _hadamard_entry, _walsh_hadamard
+from .dephasing import _pointer_coefficients, _walsh_hadamard
 from .states import PureState, _norm_sq, _readonly, _require, _trusted, check_qubits
 
 MAX_SEARCH_QUBITS = 8
 NULL_WEIGHT = 1e-12
 MATCH_TOL = 1e-9
-# Phase-flipped weights gathered per batch of error patterns (128 KB of float64);
-# a batch holds at least one pattern, whose 2^(n + k) weights may exceed it.
-_GATHER_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,31 +337,16 @@ def _hadamard_robustness(joint: JointState, n: int, k: int) -> float:
     """Best-decoder sign inference under k phase-scrambling events.
 
     Since H Z_m = X_m H, a phase flip on mask m only permutes a branch's
-    Hadamard-basis weights, w_m[j] = w[j ^ m]; each branch is transformed once.
-    The amplitudes are scaled by the Hadamard frame's entry before the
-    transform, so a two-term record gets the very weights the frame's
-    matrix product gives (and CLI output its bytes).  The patterns are
-    gathered in batches of at most ``_GATHER_ENTRIES`` weights per branch,
-    and their success rates are added one by one, in pattern order.
+    Hadamard-basis weights, w_m[j] = w[j ^ m].  Averaged over the flips of a
+    pattern P they are constant on each coset of P, so the best guess between
+    the two branches succeeds with probability 1/2 + ||D_P||_1 / 4, D_P the
+    difference w+ - w- summed over P's axes.  This is exact, since
+    max(a, b) = (a + b + |a - b|) / 2 and each branch's weights sum to 1.
     """
     plus = PureState.from_amplitudes(np.array([1.0, 1.0]) / math.sqrt(2.0))
     minus = PureState.from_amplitudes(np.array([1.0, -1.0]) / math.sqrt(2.0))
     records = np.array([environment_record(joint, s).amplitudes for s in (plus, minus)])
-    weights = np.abs(_walsh_hadamard(records * _hadamard_entry(n))) ** 2
-
-    indices = np.arange(2**n, dtype=np.intp)
-    bit_of = 1 << np.arange(n - 1, -1, -1, dtype=np.intp)
-    signs = np.array(list(product((0, 1), repeat=k)), dtype=np.intp)
-    patterns = np.array(list(combinations(range(n), k)), dtype=np.intp)
-    # Row p holds the 2^k phase-flip masks of pattern p, in the order of ``signs``.
-    masks = bit_of[patterns] @ signs.T
-    batch = max(1, _GATHER_ENTRIES >> (n + k))
-
-    total = 0.0
-    for start in range(0, len(masks), batch):
-        table = indices ^ masks[start : start + batch, :, None]
-        dists = [w[table].mean(axis=1) for w in weights]
-        # Optimal outcome-by-outcome guess between the two equiprobable branches.
-        for success in np.maximum(dists[0], dists[1]).sum(axis=1).tolist():
-            total += 0.5 * success
-    return total / len(masks)
+    w_plus, w_minus = np.abs(_pointer_coefficients("hadamard", records)) ** 2
+    diff = (w_plus - w_minus).reshape((2,) * n)
+    norms = [float(np.abs(diff.sum(axis=pattern)).sum()) for pattern in combinations(range(n), k)]
+    return 0.5 + 0.25 * (sum(norms) / len(norms))

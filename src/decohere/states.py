@@ -290,8 +290,10 @@ class Projector:
         _require(_hermiticity_defect(mat) <= PROJECTOR_TOL, "projector not Hermitian")
         idem_defect = float(np.max(np.abs(mat @ mat - mat)))
         _require(idem_defect <= PROJECTOR_TOL, "projector not idempotent")
+        rank, trace = int(self.rank), round(float(np.trace(mat).real))
+        _require(rank == trace, "projector rank {} does not match its trace {}", rank, trace)
         object.__setattr__(self, "elements", mat)
-        object.__setattr__(self, "rank", int(self.rank))
+        object.__setattr__(self, "rank", rank)
 
     @classmethod
     def from_matrix(cls, values) -> "Projector":
@@ -335,6 +337,13 @@ class Projector:
 StateLike = Union[PureState, DensityMatrix]
 
 
+def _pure_amplitudes(state: StateLike):
+    """The amplitudes of a ``PureState``, or of a state from ``to_density_matrix``; else None."""
+    if isinstance(state, PureState):
+        return state.amplitudes
+    return state.__dict__.get("_amplitudes")
+
+
 def tensor_product(a: StateLike, b: StateLike) -> StateLike:
     """Kronecker composition of two states of the same kind.
 
@@ -364,11 +373,8 @@ def partial_trace(rho: StateLike, keep: Iterable[int]) -> DensityMatrix:
     n = rho.num_qubits
     keep_t = check_qubits(keep, n)
     _require(keep_t, "keep-set must be nonempty")
-    if isinstance(rho, PureState):
-        amps = rho.amplitudes
-        _check_register(len(keep_t), MAX_DENSE_QUBITS)
-    else:
-        amps = rho.__dict__.get("_amplitudes")
+    _check_register(len(keep_t), MAX_DENSE_QUBITS)
+    amps = _pure_amplitudes(rho)
     if amps is not None:
         rest = [q for q in range(n) if q not in keep_t]
         m = amps.reshape((2,) * n).transpose(keep_t + tuple(rest)).reshape(2 ** len(keep_t), -1)
@@ -405,8 +411,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2); 1 for pure states, 2**-n for the maximally mixed state."""
-    # For Hermitian rho, Tr(rho^2) = sum |rho_ij|^2.
-    return float(np.sum(np.abs(rho.elements) ** 2))
+    return _expectation(rho.elements, rho.elements)
 
 
 def born_probability(rho: DensityMatrix, projector: Projector) -> float:

@@ -176,13 +176,19 @@ def test_error_robustness_matches_pattern_enumeration(n_env):
 
 @pytest.mark.parametrize("n_env", range(1, 9))
 def test_ghz_robustness_equals_dense_frame_exactly(n_env):
-    """Two-term records, as the CLI's GHZ states give, get the dense frame's very bits."""
-    amps = np.zeros(2 ** (n_env + 1), dtype=complex)
+    """GHZ records, as the CLI builds them, give exactly 1/2 for any phase event.
+
+    The two branches' Hadamard weights differ by +-c on even and odd parity,
+    so summed over any afflicted qubit the difference vanishes exactly.
+    """
+    n = n_env + 1
+    amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
-    joint = JointState(PureState(amps, n_env + 1), (0,), tuple(range(1, n_env + 1)))
-    for k in range(n_env + 1):
-        want = frame_oracle._hadamard_robustness(joint, n_env, k)
-        assert error_robustness(joint, "hadamard", k) == want
+    for s in range(n):
+        joint = JointState(PureState(amps, n), (s,), tuple(q for q in range(n) if q != s))
+        assert abs(error_robustness(joint, "hadamard", 0) - 1.0) <= 1e-15
+        for k in range(1, n_env + 1):
+            assert error_robustness(joint, "hadamard", k) == 0.5
 
 
 @pytest.mark.parametrize("n", range(1, 7))

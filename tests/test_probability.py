@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import trace_oracle
 
+from decohere import probability
 from decohere.dephasing import DephasingChannel
 from decohere.probability import (
     CoarseGraining,
@@ -16,7 +17,7 @@ from decohere.probability import (
     sum_rule_violation,
     uniform_outcome_probabilities,
 )
-from decohere.states import DensityMatrix, Projector, PureState, born_probability
+from decohere.states import DensityMatrix, Projector, PureState, _expectation, born_probability
 
 RNG = np.random.default_rng(31)
 
@@ -353,20 +354,36 @@ def test_conditional_product_flags_undefined():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
-def test_conditional_product_matches_trace_oracle(n):
+def test_conditional_product_matches_trace_oracle(n, monkeypatch):
+    """Every order of the three events, since mu(ba) and mu(cba) are read off ab and a(bc).
+
+    The defect cancels mu(cba) algebraically, so the three traces are compared too.
+    """
     d = 2**n
     rho = random_density(n)
     u = _random_unitary(d)
-    for _ in range(20):
+    traces = []
+
+    def recorded(op, state):
+        traces.append(_expectation(op, state))
+        return traces[-1]
+
+    monkeypatch.setattr(probability, "_expectation", recorded)
+    for trial in range(20):
         # Pairwise commuting events: random unions of the columns of one dense frame.
-        a, b, c = (
-            Projector.from_matrix((u * (RNG.random(d) < 0.7)) @ u.conj().T) for _ in range(3)
-        )
-        got = conditional_product_check(rho, a, b, c)
-        expected = trace_oracle.conditional_product_check(rho, a, b, c)
-        assert math.isnan(got) == math.isnan(expected)
-        if not math.isnan(expected):
-            assert abs(got - expected) <= 1e-12
+        masks = [RNG.random(d) < 0.7 for _ in range(3)]
+        if trial == 0:
+            masks[1] = ~masks[0]  # b a = 0: the undefined-conditional flag
+        events = [Projector.from_matrix((u * m) @ u.conj().T) for m in masks]
+        for a, b, c in permutations(events):
+            traces.clear()
+            got = conditional_product_check(rho, a, b, c)
+            expected = trace_oracle.conditional_product_check(rho, a, b, c)
+            want = trace_oracle.conditional_product_traces(rho, a, b, c)
+            assert np.max(np.abs(np.subtract(traces, want))) <= 1e-12
+            assert math.isnan(got) == math.isnan(expected)
+            if not math.isnan(expected):
+                assert abs(got - expected) <= 1e-12
 
 
 def test_conditional_product_rejects_noncommuting():

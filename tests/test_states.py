@@ -112,6 +112,14 @@ def test_projector_rejects_non_idempotent():
         Projector.from_matrix(np.eye(2) * 0.5)
 
 
+def test_projector_rejects_rank_other_than_its_trace():
+    with pytest.raises(ValueError, match="rank 1 does not match its trace 2"):
+        Projector(np.eye(2), 1)
+    with pytest.raises(ValueError, match="rank"):
+        Projector(np.zeros((2, 2)), 1)
+    assert Projector(np.eye(2), 2).complement().rank == 0
+
+
 @pytest.mark.parametrize("n, index", [(2, -1), (2, 4), (1, 2), (3, -8)])
 def test_basis_rejects_index_outside_register(n, index):
     with pytest.raises(ValueError, match="basis index"):
@@ -347,6 +355,29 @@ def test_purity_values():
     assert purity(DensityMatrix.maximally_mixed(1)) == pytest.approx(0.5)
     rho = DensityMatrix.from_matrix(np.diag([0.36, 0.64]))
     assert purity(rho) == pytest.approx(0.5392, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 10])
+def test_purity_matches_trace_oracle(n):
+    rhos = [random_pure(n).to_density_matrix()]
+    if n <= 8:
+        rhos += [random_density(n), DensityMatrix.maximally_mixed(n)]
+    for rho in rhos:
+        assert abs(purity(rho) - trace_oracle.purity(rho)) <= 1e-12
+
+
+def test_purity_allocates_no_matrix_sized_temporary():
+    """At 10 qubits rho holds 16 MB; |rho|^2 and its square took 8 MB each."""
+    rho = random_pure(10).to_density_matrix()
+    rho.elements  # build the matrix first: only purity's own allocations count
+    purity(rho)  # warm up
+    tracemalloc.start()
+    try:
+        purity(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_purity_one_iff_pure():

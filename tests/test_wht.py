@@ -3,8 +3,8 @@
 ``wht_oracle`` holds the butterfly transform and the per-pattern robustness
 loop.  The factored transform must agree with the butterfly to
 1e-12 x 2^(n/2) (exactly on integer rows) and keep real rows real; the flip
-search must make one transform per popcount layer it visits; the batched
-robustness must give the loop's very bits.
+search must make one transform per popcount layer it visits; the robustness
+from marginal weights must agree with the loop to 1e-12.
 """
 
 import math
@@ -101,22 +101,24 @@ def _two_branch_joint(n_env: int, ghz: bool) -> JointState:
 
 @pytest.mark.parametrize("n_env", range(1, redundancy.MAX_SEARCH_QUBITS + 1))
 def test_batched_robustness_has_the_loops_bits(n_env):
+    """The marginal-weight identity against the per-pattern gather loop, to 1e-12."""
     for ghz in (True, False, False):
         joint = _two_branch_joint(n_env, ghz)
         for k in range(n_env + 1):
             got = error_robustness(joint, "hadamard", k)
             want = wht_oracle._hadamard_robustness(joint, n_env, k)
-            assert got.hex() == want.hex()
+            assert abs(got - want) <= 1e-12
 
 
 def test_robustness_batches_keep_the_peak_flat():
-    """At 8 qubits k = 5 gathers 458,752 weights per branch (3.5 MB); a batch holds 16,384."""
+    """At 8 qubits a gather of every flip held 2^(8 + k) weights per branch; the sums hold 2^8."""
     joint = _two_branch_joint(8, ghz=True)
-    error_robustness(joint, "hadamard", 5)  # warm up imports and caches
-    tracemalloc.start()
-    try:
-        error_robustness(joint, "hadamard", 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    for k in (4, 5):
+        error_robustness(joint, "hadamard", k)  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            error_robustness(joint, "hadamard", k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10, (k, peak)

@@ -1,7 +1,8 @@
 """Traces as the library took them before ``_expectation`` and ``_conditioned``.
 
-Each function keeps the expression it replaced: ``einsum("ij,ji->")`` for a
-Born probability, ``np.trace`` of d x d products for the product rule and
+Each function keeps the expression it replaced: ``sum |rho_ij|^2`` for the
+purity, ``einsum("ij,ji->")`` for a Born probability, ``np.trace`` of d x d
+products for the product rule (``b a`` and ``c b a``, as written) and
 the mixed-record overlap, one-factor operators extended to the whole
 register by ``np.kron`` with an identity for g(t), the conditional system
 state and the pointer commutator, and the conditional state read off the
@@ -19,6 +20,11 @@ from decohere.records import MemoryModel, _record_matrix, _record_support_projec
 from decohere.states import DensityMatrix, Projector, _require, partial_trace
 
 
+def purity(rho: DensityMatrix) -> float:
+    """Tr(rho^2) as the sum of |rho_ij|^2, with two d x d temporaries."""
+    return float(np.sum(np.abs(rho.elements) ** 2))
+
+
 def born_probability(rho: DensityMatrix, projector: Projector) -> float:
     value = float(np.real(np.einsum("ij,ji->", projector.elements, rho.elements)))
     _require(-1e-9 <= value <= 1.0 + 1e-9, "Born probability {!r} outside [0, 1]", value)
@@ -32,12 +38,20 @@ def commuting_sum_rule(rho: DensityMatrix, b: Projector, c: Projector) -> float:
     return abs(float(np.real(np.trace(((bm + cm - bc) - bm - cm + bc) @ rho.elements))))
 
 
-def conditional_product_check(
+def conditional_product_traces(
     rho: DensityMatrix, a: Projector, b: Projector, c: Projector
-) -> float:
+) -> tuple[float, float, float]:
+    """Re Tr(a rho), Re Tr(b a rho) and Re Tr(c b a rho)."""
     mu_a = float(np.real(np.trace(a.elements @ rho.elements)))
     mu_ba = float(np.real(np.trace(b.elements @ a.elements @ rho.elements)))
     mu_cba = float(np.real(np.trace(c.elements @ b.elements @ a.elements @ rho.elements)))
+    return mu_a, mu_ba, mu_cba
+
+
+def conditional_product_check(
+    rho: DensityMatrix, a: Projector, b: Projector, c: Projector
+) -> float:
+    mu_a, mu_ba, mu_cba = conditional_product_traces(rho, a, b, c)
     if mu_a < 1e-12 or mu_ba < 1e-12:
         return UNDEFINED_CONDITIONAL
     return abs(mu_cba / mu_a - (mu_cba / mu_ba) * (mu_ba / mu_a))

@@ -3,9 +3,10 @@
 ``_walsh_hadamard`` is the transform as it was before ``decohere.dephasing``
 factored H_n into small Sylvester matrices: n butterfly passes, each one
 reshape and one ``np.stack`` of the sums and differences of paired entries.
-``_hadamard_robustness`` is the per-pattern loop that
-``decohere.redundancy`` replaced with batched gathers; it transforms with
-the package's own transform, so that a comparison isolates the batching.
+``_hadamard_robustness`` is the per-pattern loop of gathers over every
+phase-flip mask that ``decohere.redundancy`` replaced with sums of the
+weight difference over each pattern's axes; it transforms with the
+package's own transform, so that a comparison isolates that replacement.
 """
 
 from __future__ import annotations
