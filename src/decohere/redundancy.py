@@ -31,6 +31,7 @@ probability 1/2 + ||D_P||_1 / 4.  This is exact: max(a, b) =
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional, Sequence
@@ -129,6 +130,23 @@ class FlipSequence:
         return self.n_x + self.n_y + self.n_z
 
 
+def _register_tensor(joint: JointState) -> np.ndarray:
+    """Amplitudes as a (2,) * n view: system axes first, then the environment in record order."""
+    n = joint.state.num_qubits
+    return joint.state.amplitudes.reshape((2,) * n).transpose(joint.system + joint.environment)
+
+
+def _normalize(raw: np.ndarray) -> float:
+    """Squared norm of the contiguous vector ``raw``, scaled in place to unit norm unless null."""
+    weight = _norm_sq(raw)
+    if weight > NULL_WEIGHT:
+        # Scaling the float parts by the reciprocal is what complex division by a
+        # real computes, at a fifth of its cost.
+        parts = raw.view(np.float64)
+        np.multiply(parts, 1.0 / math.sqrt(weight), out=parts)
+    return weight
+
+
 def environment_record(joint: JointState, phi: PureState) -> EnvironmentRecord:
     """Conditional environment state <phi|Psi>, normalized, with its weight.
 
@@ -137,14 +155,12 @@ def environment_record(joint: JointState, phi: PureState) -> EnvironmentRecord:
     The sum over system basis states skips those where phi vanishes, so
     conditioning on a basis state is one scaled copy of a slice of Psi.
     """
-    n = joint.state.num_qubits
     n_sys = len(joint.system)
     if phi.num_qubits != n_sys:
         raise ValueError(
             f"conditioning state has {phi.num_qubits} qubits, system has {n_sys}"
         )
-    # System axes first, then the environment in the order the record lists it.
-    tensor = joint.state.amplitudes.reshape((2,) * n).transpose(joint.system + joint.environment)
+    tensor = _register_tensor(joint)
     coeffs = phi.amplitudes.conj()
     raw = None
     for s in np.flatnonzero(coeffs).tolist():
@@ -154,16 +170,12 @@ def environment_record(joint: JointState, phi: PureState) -> EnvironmentRecord:
         else:
             raw += term * coeffs[s]
     raw = raw.reshape(-1)
-    weight = _norm_sq(raw)
+    # Both states are normalized, so the weight is at most 1 up to rounding.
+    weight = _normalize(raw)
     n_env = len(joint.environment)
     if weight <= NULL_WEIGHT:
         zeros = np.zeros(2**n_env, dtype=complex)
         return _trusted(EnvironmentRecord, "amplitudes", zeros, weight=0.0, num_qubits=n_env)
-    # Both states are normalized, so the weight is at most 1 up to rounding.
-    # Scaling the float parts by the reciprocal is what complex division by a
-    # real computes, at a fifth of its cost.
-    parts = raw.view(np.float64)
-    np.multiply(parts, 1.0 / math.sqrt(weight), out=parts)
     return _trusted(EnvironmentRecord, "amplitudes", raw, weight=weight, num_qubits=n_env)
 
 
@@ -269,33 +281,36 @@ def verify_metric_axioms(records: Sequence[EnvironmentRecord]) -> MetricAxiomRep
 
 def majority_decode(outcome_bits: Sequence[int]) -> int:
     """Majority symbol of an odd-length 0/1 list."""
-    bits = [int(b) for b in outcome_bits]
+    bits = list(outcome_bits)
     if len(bits) % 2 == 0:
         raise ValueError("majority vote needs an odd number of outcomes")
     if any(b not in (0, 1) for b in bits):
         raise ValueError("outcomes must be 0 or 1")
-    return 1 if sum(bits) * 2 > len(bits) else 0
+    return 1 if sum(int(b) for b in bits) * 2 > len(bits) else 0
 
 
-def _record_basis_index(record: EnvironmentRecord) -> int:
-    """Basis label of a computational-basis record (up to phase)."""
-    idx = int(np.argmax(np.abs(record.amplitudes)))
-    peak = abs(record.amplitudes[idx])
+def _record_basis_index(amplitudes: np.ndarray) -> int:
+    """Basis label of a normalized computational-basis record (up to phase)."""
+    idx = int(np.argmax(np.abs(amplitudes)))
+    peak = abs(amplitudes[idx])
     _require(abs(peak - 1.0) <= MATCH_TOL, "record is not a computational basis state")
     return idx
 
 
-def _check_two_branch(joint: JointState) -> tuple[EnvironmentRecord, EnvironmentRecord]:
+def _two_branch_rows(joint: JointState) -> np.ndarray:
+    """Unnormalized branch rows <0|Psi> and <1|Psi>, the environment in record order.
+
+    Normalized copies must be the all-zeros and all-ones records within ``MATCH_TOL``.
+    """
     if len(joint.system) != 1:
         raise ValueError("decoding robustness expects a single system qubit")
-    r0 = environment_record(joint, PureState.basis(1, 0))
-    r1 = environment_record(joint, PureState.basis(1, 1))
-    if r0.is_null or r1.is_null:
+    rows = _register_tensor(joint).reshape(2, -1)
+    r0, r1 = rows.copy()
+    if min(_normalize(r0), _normalize(r1)) <= NULL_WEIGHT:
         raise ValueError("state is not a two-branch record state")
-    n = joint.environment_size
-    if _record_basis_index(r0) != 0 or _record_basis_index(r1) != 2**n - 1:
+    if _record_basis_index(r0) != 0 or _record_basis_index(r1) != r1.size - 1:
         raise ValueError("expected all-zeros / all-ones environment records")
-    return r0, r1
+    return rows
 
 
 def error_robustness(joint: JointState, basis: str, k: int) -> float:
@@ -306,19 +321,25 @@ def error_robustness(joint: JointState, basis: str, k: int) -> float:
     applies phase-flip events and infers the record sign from a full
     |+>/|-> measurement with the best outcome-by-outcome decoder.  Every
     pattern of k afflicted environment qubits is enumerated and the mean
-    per-pattern success probability is returned.
+    per-pattern success probability is returned.  The joint state is split
+    once into its two branch rows, which serve both the two-branch check
+    and the |+>/|-> records.
     """
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"error count must be an integer, got {k!r}")
     n = joint.environment_size
+    if n == 0:
+        raise ValueError("decoding robustness needs at least one environment qubit")
     if k < 0 or k > n:
         raise ValueError(f"error count {k} outside 0..{n}")
     if n > MAX_SEARCH_QUBITS:
         raise ValueError(f"pattern enumeration capped at {MAX_SEARCH_QUBITS} qubits")
-    _check_two_branch(joint)
+    rows = _two_branch_rows(joint)
 
     if basis == "pointer":
         return _pointer_robustness(n, k)
     if basis == "hadamard":
-        return _hadamard_robustness(joint, n, k)
+        return _hadamard_robustness(rows, n, k)
     raise ValueError(f"unknown decoding basis {basis!r}")
 
 
@@ -333,9 +354,11 @@ def _pointer_robustness(n: int, k: int) -> float:
     return sum(math.comb(k, j) for j in range(min(k, (n - 1) // 2) + 1)) / 2**k
 
 
-def _hadamard_robustness(joint: JointState, n: int, k: int) -> float:
+def _hadamard_robustness(rows: np.ndarray, n: int, k: int) -> float:
     """Best-decoder sign inference under k phase-scrambling events.
 
+    As ``environment_record`` forms them, the |+>/|-> records are a + b and a - b,
+    each normalized, with a and b the unnormalized branch ``rows`` times 1/sqrt(2).
     Since H Z_m = X_m H, a phase flip on mask m only permutes a branch's
     Hadamard-basis weights, w_m[j] = w[j ^ m].  Averaged over the flips of a
     pattern P they are constant on each coset of P, so the best guess between
@@ -343,9 +366,10 @@ def _hadamard_robustness(joint: JointState, n: int, k: int) -> float:
     difference w+ - w- summed over P's axes.  This is exact, since
     max(a, b) = (a + b + |a - b|) / 2 and each branch's weights sum to 1.
     """
-    plus = PureState.from_amplitudes(np.array([1.0, 1.0]) / math.sqrt(2.0))
-    minus = PureState.from_amplitudes(np.array([1.0, -1.0]) / math.sqrt(2.0))
-    records = np.array([environment_record(joint, s).amplitudes for s in (plus, minus)])
+    a, b = rows * (1.0 / math.sqrt(2.0))
+    records = np.array([a + b, a - b])
+    for record in records:
+        _normalize(record)
     w_plus, w_minus = np.abs(_pointer_coefficients("hadamard", records)) ** 2
     diff = (w_plus - w_minus).reshape((2,) * n)
     norms = [float(np.abs(diff.sum(axis=pattern)).sum()) for pattern in combinations(range(n), k)]

@@ -1,9 +1,11 @@
 import math
+import re
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from decohere import redundancy
 from decohere.redundancy import (
     EnvironmentRecord,
     FlipSequence,
@@ -225,6 +227,15 @@ def test_majority_rejects_even_length():
         majority_decode([0, 1])
 
 
+def test_majority_checks_values_before_converting():
+    for bad in (0.5, 1.7, "1"):
+        with pytest.raises(ValueError, match="outcomes must be 0 or 1"):
+            majority_decode([bad, 1, 1])
+    assert majority_decode([True, False, True]) == 1
+    assert majority_decode(np.array([0, 1, 0], dtype=np.int64)) == 0
+    assert majority_decode([np.uint8(1), np.int32(1), 0]) == 1
+
+
 # --- error robustness -------------------------------------------------------------
 
 
@@ -262,3 +273,73 @@ def test_pointer_sector_rejects_even_environment():
 def test_error_robustness_rejects_excess_errors():
     with pytest.raises(ValueError, match="outside"):
         error_robustness(ghz_joint(3), "pointer", 4)
+
+
+def _joint(n: int, amplitudes: dict, system=(0,)) -> JointState:
+    amps = np.zeros(2**n, dtype=complex)
+    for index, value in amplitudes.items():
+        amps[index] = value
+    env = tuple(q for q in range(n) if q not in system)
+    return JointState(PureState(amps / np.linalg.norm(amps), n), tuple(system), env)
+
+
+# Each state fails its own check and, where it can, every later one, so the
+# first message raised pins the order: k, environment size, k range, size cap,
+# system qubit, null branch, record 0, record 1, then the sector.
+NOT_INTEGER = "error count must be an integer, got {}"
+NOT_BASIS = "record is not a computational basis state"
+WRONG_INDEX = "expected all-zeros / all-ones environment records"
+REJECTIONS = {
+    "non-integer k": (_joint(1, {0: 1, 1: 1}), "bogus", 1.5, NOT_INTEGER.format(1.5)),
+    "integral float k": (ghz_joint(3), "pointer", 1.0, NOT_INTEGER.format(1.0)),
+    "NaN k": (ghz_joint(3), "hadamard", math.nan, NOT_INTEGER.format(math.nan)),
+    "no environment": (
+        _joint(2, {0: 1}, (0, 1)),
+        "bogus",
+        1,
+        "decoding robustness needs at least one environment qubit",
+    ),
+    "k out of range": (_joint(11, {0: 1}, (0, 1)), "bogus", 10, "error count 10 outside 0..9"),
+    "negative k": (ghz_joint(3), "pointer", -1, "error count -1 outside 0..3"),
+    "too many qubits": (
+        _joint(11, {0: 1}, (0, 1)), "bogus", 1, "pattern enumeration capped at 8 qubits"
+    ),
+    "two system qubits": (
+        _joint(4, {0: 1}, (0, 1)), "bogus", 1, "decoding robustness expects a single system qubit"
+    ),
+    "null branch": (_joint(4, {0: 1}), "bogus", 1, "state is not a two-branch record state"),
+    # Row 1 is off in the other way, so the row checked first decides the message.
+    "row 0 not a basis record": (_joint(4, {0: 1, 1: 1, 0b1110: 1}), "bogus", 1, NOT_BASIS),
+    "row 0 wrong index": (_joint(4, {1: 1, 0b1110: 1, 0b1101: 1}), "bogus", 1, WRONG_INDEX),
+    "row 1 not a basis record": (_joint(4, {0: 1, 0b1110: 1, 0b1111: 1}), "bogus", 1, NOT_BASIS),
+    "row 1 wrong index": (_joint(4, {0: 1, 0b1110: 1}), "bogus", 1, WRONG_INDEX),
+    "even N with pointer": (
+        ghz_joint(4), "pointer", 1, "majority vote needs an odd number of outcomes"
+    ),
+    "unknown basis": (ghz_joint(3), "bogus", 1, "unknown decoding basis 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTIONS))
+def test_error_robustness_rejection_messages_and_order(case):
+    joint, basis, k, message = REJECTIONS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        error_robustness(joint, basis, k)
+
+
+def test_error_robustness_rejects_empty_environment():
+    joint = JointState(PureState.from_amplitudes(np.array([SQ2, SQ2])), (0,), ())
+    for basis in ("pointer", "hadamard"):
+        with pytest.raises(ValueError, match="at least one environment qubit"):
+            error_robustness(joint, basis, 0)
+
+
+def test_error_robustness_rejects_non_integer_k_before_reading_the_state(monkeypatch):
+    def refuse(joint):
+        raise AssertionError("the joint state was read")
+
+    assert error_robustness(ghz_joint(3), "pointer", np.int64(1)) == 1.0
+    monkeypatch.setattr(redundancy, "_register_tensor", refuse)
+    for k in (1.5, 1.0, math.nan):
+        with pytest.raises(ValueError, match="must be an integer"):
+            error_robustness(ghz_joint(3), "hadamard", k)

@@ -4,7 +4,9 @@
 loop.  The factored transform must agree with the butterfly to
 1e-12 x 2^(n/2) (exactly on integer rows) and keep real rows real; the flip
 search must make one transform per popcount layer it visits; the robustness
-from marginal weights must agree with the loop to 1e-12.
+from marginal weights must agree with the loop to 1e-12, and the robustness
+read off one split of the joint state must equal, bit for bit, the one read
+off four conditional records.
 """
 
 import math
@@ -85,18 +87,27 @@ def test_flip_search_transforms_each_visited_layer_once(n, monkeypatch):
     assert rows_per_call == [math.comb(n, layer) for layer in range(n + 1)]
 
 
-def _two_branch_joint(n_env: int, ghz: bool) -> JointState:
+def _two_branch_joint(n_env: int, ghz: bool, leak: float = 0.0, system=None) -> JointState:
+    """GHZ or unequal-weight records, plus leakage of total norm ``leak`` onto every amplitude.
+
+    The system is qubit ``system``; by default qubit 0 for GHZ, a random one otherwise.
+    """
     n = n_env + 1
     amps = np.zeros(2**n, dtype=complex)
     if ghz:
         amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
-        return JointState(PureState(amps, n), (0,), tuple(range(1, n)))
-    p = float(RNG.uniform(0.1, 0.9))
-    phases = np.exp(2j * np.pi * RNG.uniform(size=2))
-    amps[0] = math.sqrt(p) * phases[0]
-    amps[-1] = math.sqrt(1.0 - p) * phases[1]
-    s = int(RNG.integers(n))
-    return JointState(PureState(amps, n), (s,), tuple(q for q in range(n) if q != s))
+    else:
+        p = float(RNG.uniform(0.1, 0.9))
+        phases = np.exp(2j * np.pi * RNG.uniform(size=2))
+        amps[0] = math.sqrt(p) * phases[0]
+        amps[-1] = math.sqrt(1.0 - p) * phases[1]
+    if leak:
+        noise = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
+        amps += leak * noise / np.linalg.norm(noise)
+        amps /= np.linalg.norm(amps)
+    if system is None:
+        system = 0 if ghz else int(RNG.integers(n))
+    return JointState(PureState(amps, n), (system,), tuple(q for q in range(n) if q != system))
 
 
 @pytest.mark.parametrize("n_env", range(1, redundancy.MAX_SEARCH_QUBITS + 1))
@@ -108,6 +119,34 @@ def test_batched_robustness_has_the_loops_bits(n_env):
             got = error_robustness(joint, "hadamard", k)
             want = wht_oracle._hadamard_robustness(joint, n_env, k)
             assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("n_env", range(1, redundancy.MAX_SEARCH_QUBITS + 1))
+def test_split_robustness_equals_the_records_exactly(n_env):
+    """One split of the joint state gives the bits of four conditional records.
+
+    GHZ, unequal-weight and leaky records (leakage of norm 1e-6, which the
+    check admits and which leaves D_P nonzero), with the system on every qubit.
+    """
+    for ghz, leak in ((True, 0.0), (False, 0.0), (True, 1e-6), (False, 1e-6)):
+        for system in range(n_env + 1):
+            joint = _two_branch_joint(n_env, ghz, leak, system)
+            wht_oracle._check_two_branch(joint)
+            for k in range(n_env + 1):
+                want = wht_oracle._record_robustness(joint, n_env, k)
+                assert error_robustness(joint, "hadamard", k) == want
+
+
+def test_robustness_builds_no_records(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("error_robustness built a conditional record")
+
+    joint = _two_branch_joint(5, ghz=False, leak=1e-6)
+    cases = [(basis, k) for basis in ("pointer", "hadamard") for k in range(6)]
+    want = [error_robustness(joint, basis, k) for basis, k in cases]
+    for name in ("environment_record", "EnvironmentRecord", "PureState"):
+        monkeypatch.setattr(redundancy, name, refuse)
+    assert [error_robustness(joint, basis, k) for basis, k in cases] == want
 
 
 def test_robustness_batches_keep_the_peak_flat():

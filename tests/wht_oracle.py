@@ -7,6 +7,11 @@ reshape and one ``np.stack`` of the sums and differences of paired entries.
 phase-flip mask that ``decohere.redundancy`` replaced with sums of the
 weight difference over each pattern's axes; it transforms with the
 package's own transform, so that a comparison isolates that replacement.
+``_check_two_branch`` and ``_record_robustness`` are the two-branch check
+and the conjugate-sector robustness as they were before one split of the
+joint state into its branch rows served both: four conditional records
+through ``environment_record`` (|0>, |1>, |+> and |->) per call, of which
+only the amplitudes were read.
 """
 
 from __future__ import annotations
@@ -17,7 +22,12 @@ from itertools import combinations, product
 import numpy as np
 
 from decohere import dephasing
-from decohere.redundancy import JointState, environment_record
+from decohere.redundancy import (
+    EnvironmentRecord,
+    JointState,
+    _record_basis_index,
+    environment_record,
+)
 from decohere.states import PureState
 
 
@@ -56,3 +66,28 @@ def _hadamard_robustness(joint: JointState, n: int, k: int) -> float:
         total += 0.5 * float(np.sum(np.maximum(dists[0], dists[1])))
         patterns += 1
     return total / patterns
+
+
+def _check_two_branch(joint: JointState) -> tuple[EnvironmentRecord, EnvironmentRecord]:
+    """The all-zeros / all-ones check on the |0> and |1> records."""
+    if len(joint.system) != 1:
+        raise ValueError("decoding robustness expects a single system qubit")
+    r0 = environment_record(joint, PureState.basis(1, 0))
+    r1 = environment_record(joint, PureState.basis(1, 1))
+    if r0.is_null or r1.is_null:
+        raise ValueError("state is not a two-branch record state")
+    n = joint.environment_size
+    if _record_basis_index(r0.amplitudes) != 0 or _record_basis_index(r1.amplitudes) != 2**n - 1:
+        raise ValueError("expected all-zeros / all-ones environment records")
+    return r0, r1
+
+
+def _record_robustness(joint: JointState, n: int, k: int) -> float:
+    """1/2 + mean ||D_P||_1 / 4 from the Hadamard weights of the |+> and |-> records."""
+    plus = PureState.from_amplitudes(np.array([1.0, 1.0]) / math.sqrt(2.0))
+    minus = PureState.from_amplitudes(np.array([1.0, -1.0]) / math.sqrt(2.0))
+    records = np.array([environment_record(joint, s).amplitudes for s in (plus, minus)])
+    w_plus, w_minus = np.abs(dephasing._pointer_coefficients("hadamard", records)) ** 2
+    diff = (w_plus - w_minus).reshape((2,) * n)
+    norms = [float(np.abs(diff.sum(axis=pattern)).sum()) for pattern in combinations(range(n), k)]
+    return 0.5 + 0.25 * (sum(norms) / len(norms))
