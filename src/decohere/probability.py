@@ -23,8 +23,10 @@ from .states import (
     _expectation,
     _frame_defect,
     _hermiticity_defect,
+    _integer,
     _readonly,
     _require,
+    _span_projector,
 )
 
 SUM_TOL = 1e-12
@@ -148,7 +150,7 @@ def coarse_grain(p: ProbabilityVector, total_states: int) -> CoarseGraining:
     Outcomes squeezed to zero cells are flagged on the result rather than
     rejected.
     """
-    m = int(total_states)
+    m = _integer(total_states, "total_states")
     n_outcomes = len(p)
     if m < n_outcomes:
         raise ValueError(f"need at least {n_outcomes} states, got {m}")
@@ -186,16 +188,9 @@ def _union_and_intersection(b: Projector, c: Projector) -> tuple[Projector, Proj
     Both are read off the spectrum of b + c (eigenvalue > 0 spans the
     union, eigenvalue 2 marks the intersection).
     """
-    bm, cm = b.elements, c.elements
-    eigvals, eigvecs = np.linalg.eigh(bm + cm)
-    join_basis = eigvecs[:, eigvals > RANK_TOL]
-    meet_basis = eigvecs[:, eigvals > 2.0 - RANK_TOL]
-    join = Projector(join_basis @ join_basis.conj().T, join_basis.shape[1])
-    if meet_basis.shape[1] == 0:
-        meet = Projector(np.zeros_like(bm), 0)
-    else:
-        meet = Projector(meet_basis @ meet_basis.conj().T, meet_basis.shape[1])
-    return join, meet
+    eigvals, eigvecs = np.linalg.eigh(b.elements + c.elements)
+    join = _span_projector(eigvecs[:, eigvals > RANK_TOL])
+    return join, _span_projector(eigvecs[:, eigvals > 2.0 - RANK_TOL])
 
 
 def sum_rule_violation(
@@ -219,7 +214,7 @@ def sum_rule_violation(
         return abs(_expectation((bm + cm - bc) - bm - cm + bc, rm))
     join_p, meet_p = _union_and_intersection(b, c)
     mu_join = born_probability(rho, join_p)
-    mu_meet = born_probability(rho, meet_p) if meet_p.rank else 0.0
+    mu_meet = born_probability(rho, meet_p)
     return abs(mu_join - born_probability(rho, b) - born_probability(rho, c) + mu_meet)
 
 
@@ -228,18 +223,26 @@ def conditional_product_check(
 ) -> float:
     """|mu(cb|a) - mu(c|ba) mu(b|a)| for pairwise commuting events.
 
-    Conditionals are ratios of Born probabilities (classical conditioning
-    on commuting events).  Returns NaN - the undefined-conditional flag -
-    when a conditioning event has vanishing probability.
+    The state is conditioned on each recorded outcome in turn, as an
+    observer's record collapses it: rho_a = a rho a / Tr(a rho), then
+    rho_ba = b rho_a b / Tr(b rho_a).  The result compares Tr(cb rho_a) with
+    Tr(c rho_ba) Tr(b rho_a): two routes to the same number, so a wrong
+    trace on either side shows.  Returns NaN - the undefined-conditional
+    flag - when a conditioning weight Tr(a rho) or Tr(b rho_a) vanishes.
     """
     _require(a.dim == b.dim == c.dim == rho.dim, "projector dimensions must match the state")
-    am, rm = a.elements, rho.elements
-    ab, ac, bc = (x @ y for x, y in combinations((am, b.elements, c.elements), 2))
+    am, bm, cm = a.elements, b.elements, c.elements
+    ab, ac, bc = (x @ y for x, y in combinations((am, bm, cm), 2))
     for xy in (ab, ac, bc):
         defect = _hermiticity_defect(xy)
         _require(defect <= COMMUTATOR_TOL, "projectors must commute pairwise, defect {!r}", defect)
-    # Hermitian a, b, c, rho: Tr(ba rho), Tr(cba rho) conjugate Tr(ab rho), Tr(a(bc) rho).
-    mu_a, mu_ba, mu_cba = (_expectation(x, rm) for x in (am, ab, am @ bc))
-    if mu_a < SUM_TOL or mu_ba < SUM_TOL:
+    mu_a = _expectation(am, rho.elements)
+    if mu_a < SUM_TOL:
         return UNDEFINED_CONDITIONAL
-    return abs(mu_cba / mu_a - (mu_cba / mu_ba) * (mu_ba / mu_a))
+    rho_a = am @ rho.elements @ am / mu_a
+    mu_b_a = _expectation(bm, rho_a)
+    if mu_b_a < SUM_TOL:
+        return UNDEFINED_CONDITIONAL
+    rho_ba = bm @ rho_a @ bm / mu_b_a
+    # cb = (bc)^H for Hermitian b and c, so Re Tr(bc rho_a) = Re Tr(cb rho_a).
+    return abs(_expectation(bc, rho_a) - _expectation(cm, rho_ba) * mu_b_a)

@@ -37,7 +37,9 @@ from .states import (
     PureState,
     _check_register,
     _expectation,
+    _integer,
     _require,
+    _span_projector,
     _trusted,
 )
 
@@ -139,8 +141,7 @@ def _record_support_projector(record: RecordState) -> Projector:
     if isinstance(record, PureState):
         return Projector.onto_vector(record.amplitudes)
     eigvals, eigvecs = np.linalg.eigh(record.elements)
-    support = eigvecs[:, eigvals > 1e-12]
-    return Projector(support @ support.conj().T, support.shape[1])
+    return _span_projector(eigvecs[:, eigvals > 1e-12])
 
 
 def conditional_system_state(
@@ -182,10 +183,16 @@ def _kron_power(block: np.ndarray, cells: int) -> np.ndarray:
     return out
 
 
+def _cell_count(cells: int) -> int:
+    """``cells`` as an int of at least 1: the replicas of each record."""
+    cells = _integer(cells, "cells")
+    _require(cells >= 1, "need at least one memory cell")
+    return cells
+
+
 def redundant_records(model: MemoryModel, cells: int) -> DensityMatrix:
     """Joint state with each outcome's record replicated across ``cells`` cells."""
-    if cells < 1:
-        raise ValueError("need at least one memory cell")
+    cells = _cell_count(cells)
     n = _check_register(model.system_qubits + cells * model.record_qubits, MAX_DENSE_QUBITS)
     total = None
     for i in range(model.outcome_count):
@@ -245,8 +252,7 @@ def branch_count(
     _require(
         0.0 < threshold < min_p, "threshold must lie in (0, {}), got {!r}", min_p, threshold
     )
-    if cells < 1:
-        raise ValueError("need at least one memory cell")
+    cells = _cell_count(cells)
     cell_mats = _cell_matrices(model, record_basis)
     probabilities = model.probabilities.values
     if channel is None:
@@ -272,8 +278,7 @@ def record_consensus(model: MemoryModel, cells: int, basis: str) -> float:
     """
     if model.record_qubits != 1:
         raise ValueError("consensus check expects single-qubit record cells")
-    if cells < 1:
-        raise ValueError("need at least one memory cell")
+    cells = _cell_count(cells)
     frame = _readout_frame(basis, "readout basis")
     total = 0.0
     for p_i, record in zip(model.probabilities.values, model.record_states):

@@ -47,7 +47,7 @@ def check_qubits(indices: Iterable[int], width: int) -> tuple[int, ...]:
     Returns the indices as a tuple (order preserved).  Raises ValueError on
     out-of-range entries or duplicates.
     """
-    out = tuple(int(q) for q in indices)
+    out = tuple(_integer(q, "qubit index") for q in indices)
     for q in out:
         if q < 0 or q >= width:
             raise ValueError(f"qubit index {q} outside register of width {width}")
@@ -68,9 +68,19 @@ def _require(ok, message: str, *args, error: type = ValueError) -> None:
         raise error(message.format(*args))
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; integral floats (2.0) and numpy ints pass, 2.5, NaN and inf raise."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    _require(n is not None and n == value, "{} must be an integer, got {!r}", what, value)
+    return n
+
+
 def _check_register(num_qubits: int, cap: int) -> int:
     """Register width as an int in 1..cap (``MAX_PURE_QUBITS`` or ``MAX_DENSE_QUBITS``)."""
-    n = int(num_qubits)
+    n = _integer(num_qubits, "num_qubits")
     _require(1 <= n <= cap, "num_qubits must be in 1..{}, got {}", cap, n)
     return n
 
@@ -146,10 +156,10 @@ class PureState:
 
     Invariants checked at construction: the amplitude count is exactly
     ``2**num_qubits`` (at most 20 qubits) and the squared norm is 1 within
-    1e-10 (so no entry is NaN or infinite).  States the package derives
-    from valid states (``apply``, ``tensor_product``, ``bloch_state``) are
-    normalized by construction and skip the copy and the check through
-    ``_trusted``.
+    1e-10 (so no entry is NaN or infinite).  ``basis`` and the states the
+    package derives from valid states (``apply``, ``tensor_product``,
+    ``bloch_state``) are normalized by construction and skip the copy and
+    the check through ``_trusted``.
     """
 
     amplitudes: np.ndarray
@@ -173,11 +183,12 @@ class PureState:
     @classmethod
     def basis(cls, num_qubits: int, index: int) -> "PureState":
         """Computational basis state |index> on ``num_qubits`` qubits, 0 <= index < 2^n."""
-        d = 2 ** _check_register(num_qubits, MAX_PURE_QUBITS)
-        _require(0 <= index < d, "basis index {} outside 0..{}", index, d - 1)
-        amps = np.zeros(d, dtype=complex)
+        n = _check_register(num_qubits, MAX_PURE_QUBITS)
+        index = _integer(index, "basis index")
+        _require(0 <= index < 2**n, "basis index {} outside 0..{}", index, 2**n - 1)
+        amps = np.zeros(2**n, dtype=complex)
         amps[index] = 1.0
-        return cls(amps, num_qubits)
+        return _trusted(cls, "amplitudes", amps, num_qubits=n)
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "PureState":
@@ -217,10 +228,10 @@ class DensityMatrix:
     Validation happens once, at the boundary.  A matrix from outside the
     package is copied and checked in full at every size: Hermiticity and
     trace within 1e-10, and all eigenvalues >= -1e-8 (an O(d^3)
-    decomposition, seconds at 11-12 qubits).  States the package derives
-    from valid states (``partial_trace``, ``tensor_product``, dephasing and
-    the record registers) are valid by construction and skip the checks
-    through ``_trusted``.
+    decomposition, seconds at 11-12 qubits).  ``maximally_mixed`` and the
+    states the package derives from valid states (``partial_trace``,
+    ``tensor_product``, dephasing and the record registers) are valid by
+    construction and skip the checks through ``_trusted``.
 
     ``PureState.to_density_matrix`` skips them too, and keeps the state's
     read-only amplitudes instead of the 4^n matrix: ``elements`` is built
@@ -263,8 +274,8 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, num_qubits: int) -> "DensityMatrix":
-        d = 2 ** _check_register(num_qubits, MAX_DENSE_QUBITS)
-        return cls(np.eye(d, dtype=complex) / d, num_qubits)
+        n = _check_register(num_qubits, MAX_DENSE_QUBITS)
+        return _trusted(cls, "elements", np.diag(np.full(2**n, 0.5**n + 0j)), num_qubits=n)
 
     @property
     def dim(self) -> int:
@@ -280,7 +291,7 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """Hermitian idempotent operator (P^2 = P within 1e-10)."""
+    """Hermitian idempotent operator, P^2 = P within 1e-10 (checked unless the package built it)."""
 
     elements: np.ndarray
     rank: int
@@ -303,35 +314,45 @@ class Projector:
 
     @classmethod
     def onto_vector(cls, vector) -> "Projector":
-        v = np.asarray(vector, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(v)
-        _require(nrm >= 1e-12, "cannot project onto the zero vector")
+        v = np.ascontiguousarray(vector, dtype=complex).reshape(-1)
+        # Scaled by an exact power of two: the squares cannot overflow, the norm keeps its bits.
+        scale = 2.0 ** -max(math.frexp(float(abs(v.view(float)).max(initial=0.0)))[1], 0)
+        nrm = float(np.linalg.norm((v.view(float) * scale).view(complex))) / scale
+        _require(1e-12 <= nrm < math.inf, "cannot project onto a vector of norm {!r}", nrm)
         v = v / nrm
-        return cls(np.outer(v, v.conj()), 1)
+        return _trusted(cls, "elements", np.outer(v, v.conj()), rank=1)
 
     @classmethod
     def onto_basis_states(cls, dim: int, indices: Iterable[int]) -> "Projector":
         """Sum of |k><k| over the given computational-basis labels."""
-        idx = sorted(set(int(k) for k in indices))
+        dim = _integer(dim, "projector dimension")
+        _require(dim >= 1, "projector dimension must be at least 1, got {!r}", dim)
+        idx = sorted(set(_integer(k, "basis label") for k in indices))
         mat = np.zeros((dim, dim), dtype=complex)
         for k in idx:
             _require(0 <= k < dim, "basis label {} outside dimension {}", k, dim)
             mat[k, k] = 1.0
-        return cls(mat, len(idx))
+        return _trusted(cls, "elements", mat, rank=len(idx))
 
     @classmethod
     def identity(cls, dim: int) -> "Projector":
-        return cls(np.eye(dim, dtype=complex), dim)
+        return cls.onto_basis_states(dim, range(_integer(dim, "projector dimension")))
 
     @property
     def dim(self) -> int:
         return self.elements.shape[0]
 
     def complement(self) -> "Projector":
-        return Projector(np.eye(self.dim, dtype=complex) - self.elements, self.dim - self.rank)
+        mat = np.eye(self.dim, dtype=complex) - self.elements
+        return _trusted(Projector, "elements", mat, rank=self.dim - self.rank)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Projector(dim={self.dim}, rank={self.rank})"
+
+
+def _span_projector(basis: np.ndarray) -> Projector:
+    """B B^H for orthonormal columns B: the projector onto their span (zero for no columns)."""
+    return _trusted(Projector, "elements", basis @ basis.conj().T, rank=basis.shape[1])
 
 
 StateLike = Union[PureState, DensityMatrix]

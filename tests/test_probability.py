@@ -355,9 +355,11 @@ def test_conditional_product_flags_undefined():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_conditional_product_matches_trace_oracle(n, monkeypatch):
-    """Every order of the three events, since mu(ba) and mu(cba) are read off ab and a(bc).
+    """Every order of the three events, since mu(cb|a) is read off bc.
 
-    The defect cancels mu(cba) algebraically, so the three traces are compared too.
+    Each trace of the sequential conditioning is compared with the oracle's,
+    the defect with the one the traces give, and the flag and the value with
+    the formula that cancelled mu(cba).
     """
     d = 2**n
     rho = random_density(n)
@@ -379,11 +381,47 @@ def test_conditional_product_matches_trace_oracle(n, monkeypatch):
             traces.clear()
             got = conditional_product_check(rho, a, b, c)
             expected = trace_oracle.conditional_product_check(rho, a, b, c)
-            want = trace_oracle.conditional_product_traces(rho, a, b, c)
+            want = trace_oracle.sequential_product_traces(rho, a, b, c)
+            assert len(traces) == len(want)
             assert np.max(np.abs(np.subtract(traces, want))) <= 1e-12
-            assert math.isnan(got) == math.isnan(expected)
+            assert math.isnan(got) == math.isnan(expected) == (len(want) < 4)
             if not math.isnan(expected):
+                mu_a, mu_b_a, mu_cb_a, mu_c_ba = want
+                assert abs(got - abs(mu_cb_a - mu_c_ba * mu_b_a)) <= 1e-12
                 assert abs(got - expected) <= 1e-12
+
+
+def test_conditional_product_reads_each_conditional(monkeypatch):
+    """A pointer-diagonal state with distinct weights and partly overlapping events.
+
+    The formula that cancelled mu(cba) returned 0 for any value of it.  Here
+    every trace is checked against the conditionals counted from the weights,
+    so the joint trace read off ca, or the state conditioned on b before a,
+    fails: either moves the recorded traces and the defect far from 0.
+    """
+    weights = np.random.default_rng(8).dirichlet(np.ones(8))
+    rho = DensityMatrix.from_matrix(np.diag(weights))
+    sa, sb, sc = {0, 1, 2, 3, 4}, {1, 2, 5}, {0, 2, 5, 6}
+    a, b, c = (Projector.onto_basis_states(8, s) for s in (sa, sb, sc))
+
+    def mu(*events):
+        return float(weights[sorted(set.intersection(*events))].sum())
+
+    traces = []
+
+    def recorded(op, state):
+        traces.append(_expectation(op, state))
+        return traces[-1]
+
+    monkeypatch.setattr(probability, "_expectation", recorded)
+    defect = conditional_product_check(rho, a, b, c)
+    mu_a, mu_ba, mu_cba = mu(sa), mu(sb, sa), mu(sc, sb, sa)
+    want = [mu_a, mu_ba / mu_a, mu_cba / mu_a, mu_cba / mu_ba]
+    assert np.max(np.abs(np.subtract(traces, want))) <= 1e-12
+    assert defect <= 1e-12
+    # The mutants' defects: |mu(ca) - mu(cba)| / mu(a) and |mu(cb) - mu(cab)| / mu(b).
+    assert abs(mu(sc, sa) - mu_cba) / mu_a > 0.01
+    assert abs(mu(sc, sb) - mu_cba) / mu(sb) > 0.01
 
 
 def test_conditional_product_rejects_noncommuting():
@@ -399,3 +437,14 @@ def test_conditional_product_rejects_mismatched_dimensions(wrong):
     events = [Projector.identity(4) if k in wrong else Projector.identity(2) for k in range(3)]
     with pytest.raises(ValueError, match="projector dimensions must match the state"):
         conditional_product_check(DensityMatrix.maximally_mixed(1), *events)
+
+
+@pytest.mark.parametrize("total", [4.7, float("nan"), float("inf"), "4"])
+def test_coarse_grain_checks_the_state_count_is_an_integer(total):
+    with pytest.raises(ValueError, match="total_states must be an integer"):
+        coarse_grain(ProbabilityVector([0.25, 0.75]), total)
+
+
+def test_coarse_grain_takes_an_integral_float():
+    p = ProbabilityVector([0.25, 0.75])
+    assert coarse_grain(p, 4.0).degeneracies == coarse_grain(p, np.int64(4)).degeneracies == (1, 3)

@@ -161,6 +161,17 @@ def test_conditional_state_rejects_an_outcome_without_weight():
             conditional(rho, two_outcome_model(), 0)
 
 
+def test_conditional_state_checks_the_renormalized_block():
+    # The joint state passes its check, but dividing the record-|1> block
+    # (weight 2e-12) by its weight scales its Hermiticity defect 1e-10 up to 50.
+    elements = np.zeros((4, 4), dtype=complex)
+    elements[0, 0], elements[3, 3] = 1 - 2e-12, 2e-12
+    elements[1, 3], elements[3, 1] = 5e-11, -5e-11
+    rho = DensityMatrix(elements, 2)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        conditional_system_state(rho, two_outcome_model(), 0)
+
+
 def random_pure(n: int) -> PureState:
     amps = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
     return PureState.from_amplitudes(amps / np.linalg.norm(amps))
@@ -506,3 +517,25 @@ def test_mixed_record_replication():
     rho = redundant_records(mixed_model(), 2)
     assert rho.num_qubits == 1 + 2 * 2
     assert abs(np.trace(rho.elements) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda model: record_consensus(model, float("nan"), "pointer"),
+        lambda model: record_consensus(model, 2.5, "conjugate"),
+        lambda model: branch_count(model, "pointer", 2.5),
+        lambda model: redundant_records(model, 2.5),
+    ],
+    ids=["consensus-nan", "consensus-2.5", "branch-count", "replicas"],
+)
+def test_cell_counts_are_checked_not_truncated(call):
+    with pytest.raises(ValueError, match="cells must be an integer"):
+        call(two_outcome_model())
+
+
+def test_integral_cell_counts_pass_as_ints():
+    model = two_outcome_model()
+    assert record_consensus(model, 3.0, "conjugate") == record_consensus(model, 3, "conjugate")
+    assert branch_count(model, "conjugate", np.int64(3)) == 8
+    assert redundant_records(model, 2.0).num_qubits == 3

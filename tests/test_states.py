@@ -20,6 +20,7 @@ from decohere.states import (
     Projector,
     PureState,
     born_probability,
+    check_qubits,
     partial_trace,
     purity,
     tensor_product,
@@ -435,3 +436,73 @@ def test_born_matches_trace_oracle(n):
 def test_born_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         born_probability(DensityMatrix.maximally_mixed(1), Projector.identity(4))
+
+
+# --- outside data at the trusted constructors ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Projector.identity(0), lambda: Projector.identity(-1),
+     lambda: Projector.onto_basis_states(0, [])],
+    ids=["identity-0", "identity-minus-1", "basis-states-0"],
+)
+def test_projectors_reject_an_empty_dimension(build):
+    with pytest.raises(ValueError, match="projector dimension must be at least 1"):
+        build()
+
+
+@pytest.mark.parametrize("label", [4, -1, 17])
+def test_onto_basis_states_rejects_a_label_outside_the_dimension(label):
+    with pytest.raises(ValueError, match=f"basis label {label} outside dimension 4"):
+        Projector.onto_basis_states(4, [0, label])
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [[0.0, 0.0], [float("nan"), 1.0], [float("inf"), 0.0], [complex(0.0, float("inf")), 1.0], [],
+     [1.7e308 + 1.7e308j]],
+    ids=["zero", "nan", "inf", "imaginary-inf", "empty", "norm-overflows"],
+)
+def test_onto_vector_rejects_zero_nan_inf_and_empty_vectors(vector):
+    with pytest.raises(ValueError, match="cannot project onto a vector of norm"):
+        Projector.onto_vector(vector)
+
+
+AMPS_2 = np.full(4, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_qubits([1.5], 3),
+        lambda: partial_trace(PureState.basis(2, 0), [0.5]),
+        lambda: PureState(AMPS_2, 2.5),
+        lambda: PureState.basis(2.9, 0),
+        lambda: PureState.basis(2, 1.5),
+        lambda: DensityMatrix(np.eye(4) / 4, float("nan")),
+        lambda: DensityMatrix.maximally_mixed(float("inf")),
+        lambda: Projector.onto_basis_states(4, [1.5]),
+        lambda: Projector.onto_basis_states(2.5, [1]),
+        lambda: Projector.identity(2.5),
+        lambda: Projector.identity(float("nan")),
+        lambda: check_qubits(["1"], 3),
+    ],
+    ids=["qubit", "keep", "width", "basis-width", "basis-index", "nan-width", "inf-width",
+         "label", "basis-states-dim", "identity-dim", "identity-nan", "string"],
+)
+def test_integer_arguments_are_checked_not_truncated(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_integral_floats_and_numpy_ints_pass_as_ints():
+    assert check_qubits([np.int64(2), 0.0, True], 3) == (2, 0, 1)
+    psi = PureState(AMPS_2, 2.0)
+    assert psi.num_qubits == 2 and type(psi.num_qubits) is int
+    basis = PureState.basis(np.int32(2), np.float64(3.0))
+    assert basis.num_qubits == 2 and basis.amplitudes[3] == 1.0
+    assert Projector.onto_basis_states(4, [np.int64(1), 3.0, 1]).rank == 2
+    assert Projector.onto_basis_states(4.0, [1]).dim == 4
+    assert Projector.identity(np.float64(2.0)).elements.tobytes() == np.eye(2, dtype=complex).tobytes()
+    assert DensityMatrix.maximally_mixed(np.uint8(2)).num_qubits == 2

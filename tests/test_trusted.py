@@ -1,11 +1,12 @@
 """Trusted construction and diagonal-only branch counting against the checked code.
 
 ``trusted_oracle`` holds the producers as they were, each result copied and
-checked by the public ``DensityMatrix`` constructor, and the branch count
-that built the whole 4^cells register.  The trusted results must carry the
-same bits, pass the public check (their invariants hold by construction),
-be read-only and share no memory with their inputs.  Branch counts agree
-exactly, and so do the weights they are counted on.
+checked by the public ``DensityMatrix``, ``PureState`` or ``Projector``
+constructor, and the branch count that built the whole 4^cells register.
+The trusted results must carry the same bits, pass the public check (their
+invariants hold by construction), be read-only and share no memory with
+their inputs; with the check patched to raise they must still be built.
+Branch counts agree exactly, and so do the weights they are counted on.
 """
 
 import tracemalloc
@@ -15,16 +16,24 @@ import pytest
 
 import trusted_oracle
 from decohere.dephasing import DephasingChannel, decohered_limit, dephase
-from decohere.probability import ProbabilityVector
+from decohere.probability import ProbabilityVector, _union_and_intersection, sum_rule_violation
 from decohere.records import (
     MemoryModel,
     _cell_matrices,
     _record_register,
+    _record_support_projector,
     branch_count,
     correlate,
     redundant_records,
 )
-from decohere.states import DensityMatrix, PureState, partial_trace, tensor_product
+from decohere.states import (
+    DensityMatrix,
+    Projector,
+    PureState,
+    born_probability,
+    partial_trace,
+    tensor_product,
+)
 
 RNG = np.random.default_rng(5151)
 
@@ -242,3 +251,142 @@ def test_branch_count_at_eleven_cells_allocates_under_a_megabyte():
     count, peak = _peak_bytes(lambda: branch_count(model, "conjugate", 11))
     assert count == 2**11
     assert peak < 2**20
+
+
+# --- basis states and projectors -----------------------------------------------------
+
+
+def _assert_same_projector(got: Projector, want: Projector, *inputs: np.ndarray) -> None:
+    """Same bits and rank as the checked projector, a valid one, read-only, aliasing nothing."""
+    assert type(got.rank) is int and got.rank == want.rank
+    assert got.elements.dtype == want.elements.dtype
+    assert got.elements.shape == want.elements.shape
+    assert np.array_equal(got.elements, want.elements)
+    assert got.elements.tobytes() == want.elements.tobytes()
+    Projector(got.elements, got.rank)
+    assert not got.elements.flags.writeable
+    for arr in inputs:
+        assert not np.shares_memory(got.elements, arr)
+
+
+def _random_subspace(d: int, rank: int, shared: np.ndarray | None = None) -> Projector:
+    """Projector onto ``rank`` random orthonormal columns, the first ``shared`` if given."""
+    cols = RNG.normal(size=(d, rank)) + 1j * RNG.normal(size=(d, rank))
+    if shared is not None:
+        cols[:, 0] = shared
+    q, _ = np.linalg.qr(cols)
+    return Projector(q @ q.conj().T, rank)
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 20])
+def test_basis_states_match_checked(n):
+    for index in sorted({0, 2**n - 1, int(RNG.integers(2**n))}):
+        got, want = PureState.basis(n, index), trusted_oracle.basis(n, index)
+        assert got.num_qubits == want.num_qubits == n
+        assert got.amplitudes.dtype == want.amplitudes.dtype
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        PureState(got.amplitudes, n)
+        assert not got.amplitudes.flags.writeable
+    bits = [int(b) for b in RNG.integers(0, 2, size=n)]
+    want = trusted_oracle.basis(n, int("".join(map(str, bits)), 2))
+    assert PureState.from_bits(bits).amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_maximally_mixed_matches_checked(n):
+    _assert_trusted(DensityMatrix.maximally_mixed(n), trusted_oracle.maximally_mixed(n))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 7, 16, 64])
+def test_built_projectors_match_checked(dim):
+    _assert_same_projector(Projector.identity(dim), trusted_oracle.identity(dim))
+    label_sets = [[], list(range(dim)), [dim - 1, 0, dim - 1]]
+    label_sets += [list(RNG.choice(dim, size=int(RNG.integers(1, dim + 1)))) for _ in range(3)]
+    dense = [_random_subspace(dim, r) for r in {0, 1, dim // 2, dim}]
+    for labels in label_sets:
+        got = Projector.onto_basis_states(dim, labels)
+        _assert_same_projector(got, trusted_oracle.onto_basis_states(dim, labels))
+        dense.append(got)
+    for p in dense:
+        _assert_same_projector(p.complement(), trusted_oracle.complement(p), p.elements)
+    for scale in (1e-6, 1.0, 1e6):
+        v = scale * (RNG.normal(size=dim) + 1j * RNG.normal(size=dim))
+        _assert_same_projector(Projector.onto_vector(v), trusted_oracle.onto_vector(v), v)
+    # Squares that overflow; a power-of-two scale leaves the direction's bits alone.
+    _assert_same_projector(Projector.onto_vector(2.0**600 * v), trusted_oracle.onto_vector(v))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_join_and_meet_match_checked(n):
+    """Generic pairs (a zero-rank meet when the ranks fit), pairs sharing a vector, equal events.
+
+    The sum rule now reads the zero-rank meet's Born probability, exactly 0.0,
+    where it used to skip it: its value must not move.
+    """
+    d, rho = 2**n, _random_density(n)
+    zero_meets = 0
+    for trial in range(12):
+        rank_b, rank_c = (int(r) for r in RNG.integers(1, d, size=2)) if d > 2 else (1, 1)
+        shared = RNG.normal(size=d) + 1j * RNG.normal(size=d) if trial % 3 == 1 else None
+        b = _random_subspace(d, rank_b, shared)
+        c = b if trial % 3 == 2 else _random_subspace(d, rank_c, shared)
+        got, want = _union_and_intersection(b, c), trusted_oracle.union_and_intersection(b, c)
+        for got_p, want_p in zip(got, want):
+            _assert_same_projector(got_p, want_p, b.elements, c.elements)
+        join, meet = want
+        zero_meets += meet.rank == 0
+        if trial % 3 == 0:
+            mu_meet = born_probability(rho, meet) if meet.rank else 0.0
+            mus = [born_probability(rho, p) for p in (join, b, c)]
+            assert sum_rule_violation(rho, b, c) == abs(mus[0] - mus[1] - mus[2] + mu_meet)
+    assert zero_meets > 0
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_record_support_matches_checked(n):
+    """Pure and mixed records."""
+    for mixed in (False, True):
+        rec_n = int(RNG.integers(1, min(n - 1, 3) + 1))
+        outcomes = int(RNG.integers(2, min(4, 2**rec_n) + 1))
+        model = _random_model(outcomes, n - rec_n, rec_n, mixed)
+        for record in model.record_states:
+            got = _record_support_projector(record)
+            want = trusted_oracle.record_support_projector(record)
+            _assert_same_projector(got, want, *_record_inputs(model))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a value valid by construction was checked again")
+
+
+def test_built_projectors_skip_the_check(monkeypatch):
+    model = _random_model(3, 1, 2, mixed=True)
+    pure = next(r for r in model.record_states if isinstance(r, PureState))
+    mixed = next(r for r in model.record_states if isinstance(r, DensityMatrix))
+    p = Projector.onto_basis_states(8, [1, 4])
+    b, c = _random_subspace(4, 2), _random_subspace(4, 2)
+    rho_bc = _random_density(2)
+    monkeypatch.setattr(Projector, "__post_init__", _refuse)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", _refuse)
+    assert Projector.identity(1024).rank == 1024
+    assert Projector.onto_basis_states(1024, range(0, 1024, 2)).rank == 512
+    assert p.complement().rank == 6
+    assert Projector.onto_vector([1.0, 1j, 0.5]).rank == 1
+    assert [q.rank for q in _union_and_intersection(b, c)] == [4, 0]
+    assert _record_support_projector(pure).rank == 1
+    assert _record_support_projector(mixed).rank > 1
+    sum_rule_violation(rho_bc, b, c)
+
+
+def test_basis_states_skip_the_check(monkeypatch):
+    monkeypatch.setattr(PureState, "__post_init__", _refuse)
+    assert PureState.basis(20, 0).amplitudes[0] == 1.0
+    assert PureState.from_bits([1, 0, 1]).amplitudes[5] == 1.0
+
+
+def test_maximally_mixed_at_twelve_qubits_skips_the_spectrum(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
+    rho = DensityMatrix.maximally_mixed(12)
+    diag = rho.elements.diagonal()
+    assert np.count_nonzero(rho.elements) == 4096
+    assert np.all(diag == 1 / 4096)

@@ -2,8 +2,9 @@
 
 Each function keeps the expression it replaced: ``sum |rho_ij|^2`` for the
 purity, ``einsum("ij,ji->")`` for a Born probability, ``np.trace`` of d x d
-products for the product rule (``b a`` and ``c b a``, as written) and
-the mixed-record overlap, one-factor operators extended to the whole
+products for the product rule (``b a`` and ``c b a``, as written, in the
+formula that cancels mu(cba); and the sequential conditioning that replaced
+it) and the mixed-record overlap, one-factor operators extended to the whole
 register by ``np.kron`` with an identity for g(t), the conditional system
 state and the pointer commutator, and the conditional state read off the
 pinched d x d joint state by a partial trace.  The tests compare the
@@ -51,10 +52,32 @@ def conditional_product_traces(
 def conditional_product_check(
     rho: DensityMatrix, a: Projector, b: Projector, c: Projector
 ) -> float:
+    """The product rule before sequential conditioning: 0 up to rounding for any mu(cba)."""
     mu_a, mu_ba, mu_cba = conditional_product_traces(rho, a, b, c)
     if mu_a < 1e-12 or mu_ba < 1e-12:
         return UNDEFINED_CONDITIONAL
     return abs(mu_cba / mu_a - (mu_cba / mu_ba) * (mu_ba / mu_a))
+
+
+def sequential_product_traces(
+    rho: DensityMatrix, a: Projector, b: Projector, c: Projector
+) -> list[float]:
+    """Re Tr(a rho), Re Tr(b rho_a), Re Tr(c b rho_a) and Re Tr(c rho_ba).
+
+    rho_a = a rho a / Tr(a rho) and rho_ba = b rho_a b / Tr(b rho_a); the
+    list stops after the first conditioning weight below 1e-12.
+    """
+    am, bm, cm = a.elements, b.elements, c.elements
+    mu_a = float(np.real(np.trace(am @ rho.elements)))
+    if mu_a < 1e-12:
+        return [mu_a]
+    rho_a = am @ rho.elements @ am / mu_a
+    mu_b_a = float(np.real(np.trace(bm @ rho_a)))
+    if mu_b_a < 1e-12:
+        return [mu_a, mu_b_a]
+    rho_ba = bm @ rho_a @ bm / mu_b_a
+    mu_cb_a = float(np.real(np.trace(cm @ bm @ rho_a)))
+    return [mu_a, mu_b_a, mu_cb_a, float(np.real(np.trace(cm @ rho_ba)))]
 
 
 def record_overlap(a, b) -> float:

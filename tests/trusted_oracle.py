@@ -3,9 +3,12 @@ trusted construction.
 
 Each producer here wraps its result in the public ``DensityMatrix``
 constructor, which copies the array and runs the Hermiticity, trace and
-spectrum checks.  ``environment_record`` and ``bloch_state`` build their
-states through the public ``EnvironmentRecord`` and ``PureState``
-constructors, which copy and re-check the norm.  ``branch_count`` builds the
+spectrum checks.  ``environment_record``, ``bloch_state`` and ``basis`` build
+their states through the public ``EnvironmentRecord`` and ``PureState``
+constructors, which copy and re-check the norm.  The projectors (identity,
+basis labels, complement, rank one, join and meet, a record's support) go
+through the public ``Projector`` constructor and its O(d^3) idempotency
+product; the zero-rank meet is ``np.zeros_like``, as it was.  ``branch_count`` builds the
 whole 4^cells record register only to read its diagonal; its record cells
 come from ``records._cell_matrices``, whose frame ``frame_oracle`` checks.
 The tests compare the trusted, diagonal-only code in ``decohere`` against
@@ -20,9 +23,10 @@ from typing import Iterable
 import numpy as np
 
 from decohere.dephasing import DephasingChannel
+from decohere.probability import RANK_TOL
 from decohere.records import _cell_matrices
 from decohere.redundancy import NULL_WEIGHT, EnvironmentRecord
-from decohere.states import DensityMatrix, PureState, check_qubits
+from decohere.states import DensityMatrix, Projector, PureState, check_qubits
 from pinch_oracle import _pinch
 
 
@@ -148,3 +152,57 @@ def branch_count(
     else:
         weights = rho.diagonal().real
     return int(np.sum(weights > threshold))
+
+
+def maximally_mixed(num_qubits: int) -> DensityMatrix:
+    d = 2**num_qubits
+    return DensityMatrix(np.eye(d, dtype=complex) / d, num_qubits)
+
+
+def basis(num_qubits: int, index: int) -> PureState:
+    amps = np.zeros(2**num_qubits, dtype=complex)
+    amps[index] = 1.0
+    return PureState(amps, num_qubits)
+
+
+def identity(dim: int) -> Projector:
+    return Projector(np.eye(dim, dtype=complex), dim)
+
+
+def onto_basis_states(dim: int, indices: Iterable[int]) -> Projector:
+    idx = sorted(set(int(k) for k in indices))
+    mat = np.zeros((dim, dim), dtype=complex)
+    for k in idx:
+        mat[k, k] = 1.0
+    return Projector(mat, len(idx))
+
+
+def complement(p: Projector) -> Projector:
+    return Projector(np.eye(p.dim, dtype=complex) - p.elements, p.dim - p.rank)
+
+
+def onto_vector(vector) -> Projector:
+    v = np.asarray(vector, dtype=complex).reshape(-1)
+    v = v / np.linalg.norm(v)
+    return Projector(np.outer(v, v.conj()), 1)
+
+
+def union_and_intersection(b: Projector, c: Projector) -> tuple[Projector, Projector]:
+    bm, cm = b.elements, c.elements
+    eigvals, eigvecs = np.linalg.eigh(bm + cm)
+    join_basis = eigvecs[:, eigvals > RANK_TOL]
+    meet_basis = eigvecs[:, eigvals > 2.0 - RANK_TOL]
+    join = Projector(join_basis @ join_basis.conj().T, join_basis.shape[1])
+    if meet_basis.shape[1] == 0:
+        meet = Projector(np.zeros_like(bm), 0)
+    else:
+        meet = Projector(meet_basis @ meet_basis.conj().T, meet_basis.shape[1])
+    return join, meet
+
+
+def record_support_projector(record) -> Projector:
+    if isinstance(record, PureState):
+        return onto_vector(record.amplitudes)
+    eigvals, eigvecs = np.linalg.eigh(record.elements)
+    support = eigvecs[:, eigvals > 1e-12]
+    return Projector(support @ support.conj().T, support.shape[1])
