@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .states import PureState, _trusted, check_qubits
+from .states import PureState, _integer, _trusted, check_qubits
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -258,7 +258,7 @@ def _chain_register(
     apparatus: int, environment: Iterable[int], width: Optional[int]
 ) -> tuple[tuple[int, ...], int]:
     """Environment qubits and register width of a chain, checked."""
-    env = tuple(int(q) for q in environment)
+    env = tuple(_integer(q, "qubit index") for q in environment)
     if apparatus in env:
         raise ValueError("apparatus qubit cannot be part of the environment")
     if len(set(env)) != len(env):

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -78,6 +77,7 @@ from .states import (
     MAX_PURE_QUBITS,
     DensityMatrix,
     Projector,
+    _integer as _checked_integer,
     _require,
     partial_trace,
 )
@@ -152,13 +152,11 @@ class ResultArtifact:
         text = self.rendered(fmt)
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".decohere-")
+        # Created exclusively, so the process umask sets its mode like any new file's.
+        tmp_path = os.path.join(directory, f".decohere-{os.urandom(16).hex()}")
         try:
-            with os.fdopen(fd, "w", newline="") as handle:
+            with open(tmp_path, "x", newline="") as handle:
                 handle.write(text)
-            mask = os.umask(0)
-            os.umask(mask)
-            os.chmod(tmp_path, 0o666 & ~mask)
             os.replace(tmp_path, path)
         except BaseException:
             if os.path.exists(tmp_path):
@@ -573,6 +571,7 @@ def observer_lists(
     """
     prepare = _readout_frame(prepare_basis, "prepare_basis")
     measure = _readout_frame(measure_basis, "measure_basis")
+    ensemble = _checked_integer(ensemble, "ensemble")
     _require(ensemble >= 1, "ensemble must be positive")
     rng = np.random.default_rng(seed)
     channel = DephasingChannel.computational(1, t_d)
@@ -594,7 +593,7 @@ def observer_lists(
     return {
         "prepare_basis": prepare_basis,
         "measure_basis": measure_basis,
-        "ensemble": int(ensemble),
+        "ensemble": ensemble,
         "agreement_a_b": float(np.mean(list_a == list_b)),
         "agreement_a_a2": float(np.mean(list_a == list_a2)),
         "agreement_b_a2": float(np.mean(list_b == list_a2)),

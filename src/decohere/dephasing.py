@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -195,10 +194,6 @@ class DephasingChannel:
     def hadamard(cls, num_qubits: int, t_d: float) -> "DephasingChannel":
         """Channel einselecting the |+>/|-> product frame."""
         return cls._named("hadamard", num_qubits, t_d)
-
-    @classmethod
-    def from_states(cls, states: Sequence[np.ndarray], t_d: float) -> "DephasingChannel":
-        return cls(np.column_stack([np.asarray(s, dtype=complex).reshape(-1) for s in states]), t_d)
 
     def __getattr__(self, name: str):
         # Reached only when normal lookup fails: ``basis`` of a named channel

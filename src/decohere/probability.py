@@ -20,6 +20,7 @@ from .states import (
     Projector,
     PureState,
     born_probability,
+    _check_normalized,
     _expectation,
     _frame_defect,
     _hermiticity_defect,
@@ -70,16 +71,18 @@ class CoarseGraining:
     """
 
     probabilities: ProbabilityVector
-    total_states: int
     degeneracies: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if any(n < 0 for n in self.degeneracies):
             raise ValueError("degeneracies must be nonnegative")
-        if sum(self.degeneracies) != self.total_states:
-            raise ValueError("degeneracies must sum to the expanded dimension")
         if len(self.degeneracies) != len(self.probabilities):
             raise ValueError("one degeneracy per outcome required")
+
+    @property
+    def total_states(self) -> int:
+        """M, the number of expanded states: the sum of the degeneracies."""
+        return sum(self.degeneracies)
 
     @property
     def outcome_count(self) -> int:
@@ -88,6 +91,11 @@ class CoarseGraining:
     @property
     def zero_probability_cells(self) -> bool:
         return any(n == 0 for n in self.degeneracies)
+
+
+def _born_weights(weights: np.ndarray) -> ProbabilityVector:
+    """|c_k|^2 of a state normalized within 1e-10, divided by their sum to pass the 1e-12 check."""
+    return ProbabilityVector(weights / weights.sum())
 
 
 def uniform_outcome_probabilities(
@@ -107,7 +115,7 @@ def uniform_outcome_probabilities(
         float(mags.max() - mags.min()) <= EQUAL_MAGNITUDE_TOL,
         "pointer-frame magnitudes are unequal; use born_probability directly",
     )
-    return ProbabilityVector(mags**2)
+    return _born_weights(mags**2)
 
 
 def permutation_distinguishability(
@@ -123,8 +131,11 @@ def permutation_distinguishability(
     the state may have any dimension (outcome labels need not fill a qubit
     register).
     """
-    amps = psi.amplitudes if isinstance(psi, PureState) else np.asarray(psi, dtype=complex)
-    amps = amps.reshape(-1)
+    if isinstance(psi, PureState):
+        amps = psi.amplitudes
+    else:
+        amps = np.asarray(psi, dtype=complex).reshape(-1)
+        _check_normalized(amps)
     dim = amps.size
     perm = [int(p) for p in permutation]
     if sorted(perm) != list(range(dim)):
@@ -140,7 +151,7 @@ def permutation_distinguishability(
     permuted[perm] = amps
     probs = np.abs(frame.conj().T @ amps) ** 2
     probs_perm = np.abs(frame.conj().T @ permuted) ** 2
-    return ProbabilityVector(probs), ProbabilityVector(probs_perm)
+    return _born_weights(probs), _born_weights(probs_perm)
 
 
 def coarse_grain(p: ProbabilityVector, total_states: int) -> CoarseGraining:
@@ -162,7 +173,7 @@ def coarse_grain(p: ProbabilityVector, total_states: int) -> CoarseGraining:
     order = sorted(range(n_outcomes), key=lambda k: (-remainders[k], k))
     for k in order[:leftovers]:
         counts[k] += 1
-    return CoarseGraining(p, m, tuple(int(c) for c in counts))
+    return CoarseGraining(p, tuple(int(c) for c in counts))
 
 
 def reconstruct_reduced(grouping: CoarseGraining) -> tuple[np.ndarray, float]:

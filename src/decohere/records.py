@@ -310,7 +310,7 @@ class RecordSequence:
 
     @classmethod
     def constant(cls, symbol, length: int, alphabet: Sequence) -> "RecordSequence":
-        return cls((symbol,) * length, tuple(alphabet))
+        return cls((symbol,) * _integer(length, "length"), tuple(alphabet))
 
 
 def _run_lengths(symbols: Sequence) -> list[int]:

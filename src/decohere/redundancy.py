@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Optional, Sequence
 
@@ -101,29 +101,21 @@ class EnvironmentRecord:
 
 @dataclass(frozen=True)
 class FlipSequence:
-    """Per-qubit flip assignment with its X/Y/Z counts."""
+    """Per-qubit flip assignment; its X/Y/Z counts are counted from the labels."""
 
     labels: tuple[str, ...]
-    n_x: int
-    n_y: int
-    n_z: int
+    n_x: int = field(init=False)
+    n_y: int = field(init=False)
+    n_z: int = field(init=False)
 
     def __post_init__(self) -> None:
-        for lab in self.labels:
+        labels = tuple(self.labels)
+        for lab in labels:
             if lab not in ("I", "X", "Y", "Z"):
                 raise ValueError(f"unknown flip label {lab!r}")
-        counts = {
-            "X": self.labels.count("X"),
-            "Y": self.labels.count("Y"),
-            "Z": self.labels.count("Z"),
-        }
-        if (self.n_x, self.n_y, self.n_z) != (counts["X"], counts["Y"], counts["Z"]):
-            raise ValueError("flip counts do not match labels")
-
-    @classmethod
-    def from_labels(cls, labels: Sequence[str]) -> "FlipSequence":
-        labs = tuple(labels)
-        return cls(labs, labs.count("X"), labs.count("Y"), labs.count("Z"))
+        object.__setattr__(self, "labels", labels)
+        for name, lab in (("n_x", "X"), ("n_y", "Y"), ("n_z", "Z")):
+            object.__setattr__(self, name, labels.count(lab))
 
     @property
     def total_flips(self) -> int:
@@ -228,7 +220,7 @@ def minimal_flip_sequence(
                     best = (key, labels)
         if best is not None and best[0][0] <= layer:
             break
-    return None if best is None else FlipSequence.from_labels(best[1])
+    return None if best is None else FlipSequence(best[1])
 
 
 def redundancy_distance(a: EnvironmentRecord, b: EnvironmentRecord) -> float:

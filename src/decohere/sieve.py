@@ -54,6 +54,7 @@ from .states import (
     PureState,
     _entropies_from_spectra,
     _hermiticity_defect,
+    _integer,
     _readonly,
     _require,
     _trusted,
@@ -72,6 +73,7 @@ _PREFIX_ENTRIES = 1 << 18
 
 def uniform_grid(t_end: float, steps: int) -> np.ndarray:
     """Evenly spaced sample times 0 .. t_end with ``steps`` intervals."""
+    steps = _integer(steps, "steps")
     _require(
         steps >= 1 and 0 < t_end < math.inf,
         "grid needs at least one interval over positive time",
@@ -130,7 +132,6 @@ class EntropyTrajectory:
     entropies: np.ndarray
     purities: np.ndarray
     equilibrium_entropy: float
-    equilibrium_purity: float
     num_qubits: int
 
     def __post_init__(self) -> None:
@@ -147,6 +148,11 @@ class EntropyTrajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "entropies", ent)
         object.__setattr__(self, "purities", pur)
+
+    @property
+    def equilibrium_purity(self) -> float:
+        """The purity floor 2**-n of the maximally mixed register."""
+        return 2.0 ** -self.num_qubits
 
     @property
     def final_entropy(self) -> float:
@@ -355,7 +361,6 @@ def evolve_entropy(
         entropies=entropies[0],
         purities=purities[0],
         equilibrium_entropy=float(equilibrium[0]),
-        equilibrium_purity=2.0 ** (-state.num_qubits),
         num_qubits=state.num_qubits,
     )
 
@@ -433,6 +438,7 @@ def bloch_state(theta: float, phi: float) -> PureState:
 
 def bloch_grid(theta_steps: int = 36, phi_steps: int = 36) -> list[tuple[float, float]]:
     """Plain product grid over (theta, phi); poles repeat across phi."""
+    theta_steps, phi_steps = _integer(theta_steps, "theta_steps"), _integer(phi_steps, "phi_steps")
     angles = []
     for i in range(theta_steps + 1):
         theta = math.pi * i / theta_steps

@@ -13,7 +13,7 @@ shared freely between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -125,6 +125,12 @@ def _norm_sq(amplitudes: np.ndarray) -> float:
     return float(np.vdot(amplitudes, amplitudes).real)
 
 
+def _check_normalized(amplitudes: np.ndarray) -> None:
+    """Raise unless |psi|^2 is 1 within 1e-10 (so no entry is NaN or infinite)."""
+    norm_sq = _norm_sq(amplitudes)
+    _require(abs(norm_sq - 1.0) <= NORM_TOL, "state not normalized: |psi|^2 = {!r}", norm_sq)
+
+
 def _expectation(op: np.ndarray, rho: np.ndarray) -> float:
     """Re Tr(op rho) as Re Tr(rho^H op), in one O(d^2) pass: exact if op or rho is Hermitian."""
     return float(np.vdot(rho, op).real)
@@ -170,8 +176,7 @@ class PureState:
         n = _check_register(self.num_qubits, MAX_PURE_QUBITS)
         d = 2**n
         _require(amps.size == d, "expected {} amplitudes for {} qubits, got {}", d, n, amps.size)
-        norm_sq = _norm_sq(amps)
-        _require(abs(norm_sq - 1.0) <= NORM_TOL, "state not normalized: |psi|^2 = {!r}", norm_sq)
+        _check_normalized(amps)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", n)
 
@@ -291,26 +296,21 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """Hermitian idempotent operator, P^2 = P within 1e-10 (checked unless the package built it)."""
+    """Hermitian idempotent operator, P^2 = P within 1e-10 (checked unless the package built it).
+
+    ``rank`` is not an argument: it is the trace, rounded to an integer.
+    """
 
     elements: np.ndarray
-    rank: int
+    rank: int = field(init=False)
 
     def __post_init__(self) -> None:
         mat = _square(self.elements, "projector must be square, got shape {}")
         _require(_hermiticity_defect(mat) <= PROJECTOR_TOL, "projector not Hermitian")
         idem_defect = float(np.max(np.abs(mat @ mat - mat)))
         _require(idem_defect <= PROJECTOR_TOL, "projector not idempotent")
-        rank, trace = int(self.rank), round(float(np.trace(mat).real))
-        _require(rank == trace, "projector rank {} does not match its trace {}", rank, trace)
         object.__setattr__(self, "elements", mat)
-        object.__setattr__(self, "rank", rank)
-
-    @classmethod
-    def from_matrix(cls, values) -> "Projector":
-        mat = np.asarray(values, dtype=complex)
-        rank = int(round(float(np.trace(mat).real)))
-        return cls(mat, rank)
+        object.__setattr__(self, "rank", round(float(np.trace(mat).real)))
 
     @classmethod
     def onto_vector(cls, vector) -> "Projector":

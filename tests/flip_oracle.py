@@ -79,5 +79,5 @@ def minimal_flip_sequence(
                     labels = ["I"] * n
                     for q, p in zip(qubits, paulis):
                         labels[q] = p
-                    return FlipSequence.from_labels(labels)
+                    return FlipSequence(labels)
     return None

@@ -119,7 +119,6 @@ def evolve_entropy(
         entropies=entropies,
         purities=purities,
         equilibrium_entropy=equilibrium_entropy,
-        equilibrium_purity=2.0 ** (-n),
         num_qubits=n,
     )
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -142,6 +143,27 @@ def test_format_is_checked_before_the_run(tmp_path, monkeypatch):
     cfg = make_config("probability", seed=1, out=str(tmp_path / "p.csv"), fmt="csv")
     with pytest.raises(ConfigError, match="JSON"):
         run(cfg)
+
+
+def test_artifact_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    mask = os.umask(0)
+    os.umask(mask)
+
+    def refuse(*args):
+        raise AssertionError("process-wide state touched")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    artifact = cli.ResultArtifact("sieve", "{}", columns=["a"], rows=[{"a": 1}])
+    path = tmp_path / "out" / "a.csv"
+    artifact.write(str(path), "csv")
+    assert path.read_bytes() == artifact.rendered("csv").encode()
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~mask
+    # A failed write removes its temporary file too.
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(AssertionError, match="process-wide"):
+        artifact.write(str(path), "csv")
+    monkeypatch.undo()
+    assert [p.name for p in path.parent.iterdir()] == ["a.csv"]
 
 
 def test_integral_floats_read_as_integers(tmp_path):

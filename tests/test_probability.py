@@ -68,6 +68,14 @@ def test_uniform_outcomes_reject_unequal_magnitudes():
         uniform_outcome_probabilities(psi, DephasingChannel.computational(1, 1.0))
 
 
+def test_born_weights_of_a_state_inside_the_norm_tolerance():
+    # |psi|^2 - 1 = -1.9e-11: inside PureState's 1e-10, outside the 1e-12 sum check.
+    psi = PureState.from_amplitudes([0.70710678118, 0.70710678118])
+    uniform = uniform_outcome_probabilities(psi, DephasingChannel.computational(1, 1.0))
+    for probs in (uniform, *permutation_distinguishability(psi, [1, 0], np.eye(2))):
+        assert np.array_equal(probs.values, [0.5, 0.5])
+
+
 # --- permutations ------------------------------------------------------------
 
 
@@ -111,6 +119,12 @@ def test_permutation_rejects_non_permutation():
     psi, _, measurement = worked_example()
     with pytest.raises(ValueError, match="permutation"):
         permutation_distinguishability(psi, [0, 0, 2], measurement)
+
+
+def test_permutation_rejects_unnormalized_array_as_a_state():
+    _, perm, measurement = worked_example()
+    with pytest.raises(ValueError, match=r"state not normalized: \|psi\|\^2 = 3.0"):
+        permutation_distinguishability(np.array([1.0, 1.0, 1.0]), perm, measurement)
 
 
 def test_permutation_rejects_skew_measurement():
@@ -164,13 +178,14 @@ def test_coarse_grain_deviation_bound():
         p = ProbabilityVector(raw / raw.sum())
         m = int(RNG.integers(n_outcomes, 200))
         grouping = coarse_grain(p, m)
+        assert grouping.total_states == m
         _, deviation = reconstruct_reduced(grouping)
         assert deviation <= 1.0 / m + 1e-12
 
 
-def test_degeneracies_must_sum_to_total():
-    with pytest.raises(ValueError, match="sum"):
-        CoarseGraining(ProbabilityVector([0.5, 0.5]), 4, (1, 2))
+def test_degeneracies_must_be_nonnegative():
+    with pytest.raises(ValueError, match="nonnegative"):
+        CoarseGraining(ProbabilityVector([0.5, 0.5]), (3, -1))
 
 
 def test_reconstruct_exact_case():
@@ -296,7 +311,7 @@ def test_sum_rule_matches_four_trace_formula():
         assert np.max(np.abs(got - expected)) <= 1e-12
     # commuting events in a dense frame
     u = _random_unitary(8)
-    rotated = [Projector.from_matrix(u @ p.elements @ u.conj().T) for p in events[::17]]
+    rotated = [Projector(u @ p.elements @ u.conj().T) for p in events[::17]]
     for pb in rotated:
         for pc in rotated:
             got = sum_rule_violation(rho, pb, pc)
@@ -307,7 +322,7 @@ def test_sum_rule_matches_four_trace_formula():
     for _ in range(200):
         rank_b, rank_c = (int(r) for r in RNG.integers(1, 8, size=2))
         vb, vc = _random_unitary(8)[:, :rank_b], _random_unitary(8)[:, :rank_c]
-        pb, pc = Projector(vb @ vb.conj().T, rank_b), Projector(vc @ vc.conj().T, rank_c)
+        pb, pc = Projector(vb @ vb.conj().T), Projector(vc @ vc.conj().T)
         expected = _spectral_sum_rule(rho, pb, pc)
         assert abs(sum_rule_violation(rho, pb, pc) - expected) <= 1e-12
 
@@ -376,7 +391,7 @@ def test_conditional_product_matches_trace_oracle(n, monkeypatch):
         masks = [RNG.random(d) < 0.7 for _ in range(3)]
         if trial == 0:
             masks[1] = ~masks[0]  # b a = 0: the undefined-conditional flag
-        events = [Projector.from_matrix((u * m) @ u.conj().T) for m in masks]
+        events = [Projector((u * m) @ u.conj().T) for m in masks]
         for a, b, c in permutations(events):
             traces.clear()
             got = conditional_product_check(rho, a, b, c)

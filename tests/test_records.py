@@ -192,7 +192,7 @@ def random_frame(d: int) -> np.ndarray:
 def random_projector(n: int) -> Projector:
     rank = int(RNG.integers(1, 2**n + 1))
     columns = random_frame(2**n)[:, :rank]
-    return Projector(columns @ columns.conj().T, rank)
+    return Projector(columns @ columns.conj().T)
 
 
 def random_mixed_record_model(system_qubits: int, record_qubits: int) -> MemoryModel:

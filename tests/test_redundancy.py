@@ -178,9 +178,9 @@ def test_distance_rejects_null_records():
         redundancy_distance(null, basis_record(2, 0))
 
 
-def test_flip_sequence_counts_validated():
-    with pytest.raises(ValueError, match="counts"):
-        FlipSequence(("X", "I"), 0, 1, 0)
+def test_flip_sequence_labels_validated():
+    with pytest.raises(ValueError, match="unknown flip label 'W'"):
+        FlipSequence(("X", "W"))
 
 
 # --- metric axioms ---------------------------------------------------------------

@@ -82,7 +82,7 @@ def test_entropy_horizon_capped_for_pointer_state():
 def test_entropy_horizon_instant_equilibration():
     times = np.linspace(0.0, 1.0, 1001)
     entropies = np.where(times > 0, 1.0, 0.0)
-    traj = EntropyTrajectory(times, entropies, np.full_like(times, 0.5), 1.0, 0.5, 1)
+    traj = EntropyTrajectory(times, entropies, np.full_like(times, 0.5), 1.0, 1)
     horizon = predictability_horizon(traj)
     assert horizon.value == pytest.approx(0.0, abs=1e-3)
 

@@ -175,7 +175,9 @@ def test_mixed_state_trajectory_matches_oracle(num_qubits):
         assert _close(new.purities, old.purities, tol)
         assert _close(new.entropies, old.entropies, tol)
         assert _close(new.equilibrium_entropy, old.equilibrium_entropy, tol)
-        assert new.equilibrium_purity == old.equilibrium_purity
+        assert new.equilibrium_purity == old.equilibrium_purity == 2.0**-num_qubits
+        # The floor is computed, not passed: the horizon keeps the reference's bits.
+        assert sieve.purity_horizon(new) == sieve_oracle.purity_horizon(new)
 
 
 def test_qubit_spectrum_from_purity():

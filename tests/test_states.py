@@ -6,6 +6,8 @@ import pytest
 from decohere import states
 import trace_oracle
 from sieve_oracle import _entropy_bits
+from decohere.circuits import decoherence_chain, noise_chain
+from decohere.cli import observer_lists
 from decohere.dephasing import (
     DephasingChannel,
     HamiltonianSpec,
@@ -13,8 +15,9 @@ from decohere.dephasing import (
     pointer_commutator_defect,
 )
 from decohere.probability import ProbabilityVector
+from decohere.records import RecordSequence
 from decohere.redundancy import EnvironmentRecord
-from decohere.sieve import DynamicsSpec, EntropyTrajectory, uniform_grid
+from decohere.sieve import DynamicsSpec, EntropyTrajectory, bloch_grid, uniform_grid
 from decohere.states import (
     DensityMatrix,
     Projector,
@@ -110,15 +113,13 @@ def test_density_matrix_checks_positivity_beyond_256_dimensions():
 
 def test_projector_rejects_non_idempotent():
     with pytest.raises(ValueError, match="idempotent"):
-        Projector.from_matrix(np.eye(2) * 0.5)
+        Projector(np.eye(2) * 0.5)
 
 
-def test_projector_rejects_rank_other_than_its_trace():
-    with pytest.raises(ValueError, match="rank 1 does not match its trace 2"):
-        Projector(np.eye(2), 1)
-    with pytest.raises(ValueError, match="rank"):
-        Projector(np.zeros((2, 2)), 1)
-    assert Projector(np.eye(2), 2).complement().rank == 0
+def test_projector_rank_is_its_trace():
+    assert Projector(np.zeros((2, 2))).rank == 0
+    assert Projector(np.eye(2)).rank == 2
+    assert Projector(np.eye(2)).complement().rank == 0
 
 
 @pytest.mark.parametrize("n, index", [(2, -1), (2, 4), (1, 2), (3, -8)])
@@ -160,7 +161,7 @@ NON_FINITE_INPUTS = {
     "PureState-inf": lambda: PureState(np.array([INF, 0.0]), 1),
     "DensityMatrix": lambda: DensityMatrix(np.array([[0.5, NAN], [NAN, 0.5]]), 1),
     "DensityMatrix-diagonal": lambda: DensityMatrix(np.array([[NAN, 0.0], [0.0, 0.5]]), 1),
-    "Projector": lambda: Projector(np.array([[1.0, NAN], [NAN, 0.0]]), 1),
+    "Projector": lambda: Projector(np.array([[1.0, NAN], [NAN, 0.0]])),
     "EnvironmentRecord-weight": lambda: EnvironmentRecord(np.array([1.0, 0.0]), NAN, 1),
     "EnvironmentRecord-amplitudes": lambda: EnvironmentRecord(np.array([NAN, 0.0]), 0.5, 1),
     "ProbabilityVector": lambda: ProbabilityVector(np.array([NAN, 1.0])),
@@ -184,13 +185,13 @@ NON_FINITE_INPUTS = {
         HamiltonianSpec(np.eye(2), np.eye(4)), np.array([[NAN, 0.0], [0.0, 1.0]])
     ),
     "EntropyTrajectory": lambda: EntropyTrajectory(
-        QUBIT_GRID, np.array([0.0, NAN, 1.0]), np.ones(3), 1.0, 0.5, 1
+        QUBIT_GRID, np.array([0.0, NAN, 1.0]), np.ones(3), 1.0, 1
     ),
     "EntropyTrajectory-times": lambda: EntropyTrajectory(
-        np.array([0.0, NAN, 2.0]), np.array([0.0, 0.5, 1.0]), np.ones(3), 1.0, 0.5, 1
+        np.array([0.0, NAN, 2.0]), np.array([0.0, 0.5, 1.0]), np.ones(3), 1.0, 1
     ),
     "EntropyTrajectory-purities": lambda: EntropyTrajectory(
-        QUBIT_GRID, np.array([0.0, 0.5, 1.0]), np.array([1.0, NAN, 0.5]), 1.0, 0.5, 1
+        QUBIT_GRID, np.array([0.0, 0.5, 1.0]), np.array([1.0, NAN, 0.5]), 1.0, 1
     ),
 }
 
@@ -429,7 +430,7 @@ def test_born_matches_trace_oracle(n):
     u = random_unitary(d)
     for rank in (1, d // 2, d):
         frame = u[:, :rank]
-        p = Projector(frame @ frame.conj().T, rank)
+        p = Projector(frame @ frame.conj().T)
         assert abs(born_probability(rho, p) - trace_oracle.born_probability(rho, p)) <= 1e-12
 
 
@@ -487,9 +488,18 @@ AMPS_2 = np.full(4, 0.5)
         lambda: Projector.identity(2.5),
         lambda: Projector.identity(float("nan")),
         lambda: check_qubits(["1"], 3),
+        lambda: decoherence_chain(1, (2.5,), 4),
+        lambda: noise_chain((2.9,), 1, 4),
+        lambda: uniform_grid(1.0, 2.5),
+        lambda: bloch_grid(2.5, 4),
+        lambda: bloch_grid(4, 2.5),
+        lambda: observer_lists("pointer", "pointer", 2.5, 1),
+        lambda: RecordSequence.constant(0, 2.5, (0, 1)),
     ],
     ids=["qubit", "keep", "width", "basis-width", "basis-index", "nan-width", "inf-width",
-         "label", "basis-states-dim", "identity-dim", "identity-nan", "string"],
+         "label", "basis-states-dim", "identity-dim", "identity-nan", "string",
+         "chain-environment", "noise-chain-environment", "grid-steps", "bloch-theta-steps",
+         "bloch-phi-steps", "ensemble", "constant-length"],
 )
 def test_integer_arguments_are_checked_not_truncated(call):
     with pytest.raises(ValueError, match="must be an integer"):
@@ -506,3 +516,9 @@ def test_integral_floats_and_numpy_ints_pass_as_ints():
     assert Projector.onto_basis_states(4.0, [1]).dim == 4
     assert Projector.identity(np.float64(2.0)).elements.tobytes() == np.eye(2, dtype=complex).tobytes()
     assert DensityMatrix.maximally_mixed(np.uint8(2)).num_qubits == 2
+    assert decoherence_chain(1, (2.0,), 4).to_text() == "CNOT 1 2"
+    assert noise_chain((np.int64(2),), 1, 4).to_text() == "CNOT 2 1"
+    assert np.array_equal(uniform_grid(1.0, 4.0), uniform_grid(1.0, 4))
+    assert bloch_grid(2.0, np.int64(3)) == bloch_grid(2, 3)
+    assert observer_lists("pointer", "pointer", 10.0, 1) == observer_lists("pointer", "pointer", 10, 1)
+    assert RecordSequence.constant(0, 3.0, (0, 1)).symbols == (0, 0, 0)

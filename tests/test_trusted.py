@@ -257,13 +257,16 @@ def test_branch_count_at_eleven_cells_allocates_under_a_megabyte():
 
 
 def _assert_same_projector(got: Projector, want: Projector, *inputs: np.ndarray) -> None:
-    """Same bits and rank as the checked projector, a valid one, read-only, aliasing nothing."""
+    """Same bits and rank as the checked projector, a valid one, read-only, aliasing nothing.
+
+    The stored rank must equal the one the public constructor derives from the trace.
+    """
     assert type(got.rank) is int and got.rank == want.rank
     assert got.elements.dtype == want.elements.dtype
     assert got.elements.shape == want.elements.shape
     assert np.array_equal(got.elements, want.elements)
     assert got.elements.tobytes() == want.elements.tobytes()
-    Projector(got.elements, got.rank)
+    assert Projector(got.elements).rank == got.rank
     assert not got.elements.flags.writeable
     for arr in inputs:
         assert not np.shares_memory(got.elements, arr)
@@ -275,7 +278,7 @@ def _random_subspace(d: int, rank: int, shared: np.ndarray | None = None) -> Pro
     if shared is not None:
         cols[:, 0] = shared
     q, _ = np.linalg.qr(cols)
-    return Projector(q @ q.conj().T, rank)
+    return Projector(q @ q.conj().T)
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), 20])

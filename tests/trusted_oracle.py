@@ -166,7 +166,7 @@ def basis(num_qubits: int, index: int) -> PureState:
 
 
 def identity(dim: int) -> Projector:
-    return Projector(np.eye(dim, dtype=complex), dim)
+    return Projector(np.eye(dim, dtype=complex))
 
 
 def onto_basis_states(dim: int, indices: Iterable[int]) -> Projector:
@@ -174,17 +174,17 @@ def onto_basis_states(dim: int, indices: Iterable[int]) -> Projector:
     mat = np.zeros((dim, dim), dtype=complex)
     for k in idx:
         mat[k, k] = 1.0
-    return Projector(mat, len(idx))
+    return Projector(mat)
 
 
 def complement(p: Projector) -> Projector:
-    return Projector(np.eye(p.dim, dtype=complex) - p.elements, p.dim - p.rank)
+    return Projector(np.eye(p.dim, dtype=complex) - p.elements)
 
 
 def onto_vector(vector) -> Projector:
     v = np.asarray(vector, dtype=complex).reshape(-1)
     v = v / np.linalg.norm(v)
-    return Projector(np.outer(v, v.conj()), 1)
+    return Projector(np.outer(v, v.conj()))
 
 
 def union_and_intersection(b: Projector, c: Projector) -> tuple[Projector, Projector]:
@@ -192,11 +192,11 @@ def union_and_intersection(b: Projector, c: Projector) -> tuple[Projector, Proje
     eigvals, eigvecs = np.linalg.eigh(bm + cm)
     join_basis = eigvecs[:, eigvals > RANK_TOL]
     meet_basis = eigvecs[:, eigvals > 2.0 - RANK_TOL]
-    join = Projector(join_basis @ join_basis.conj().T, join_basis.shape[1])
+    join = Projector(join_basis @ join_basis.conj().T)
     if meet_basis.shape[1] == 0:
-        meet = Projector(np.zeros_like(bm), 0)
+        meet = Projector(np.zeros_like(bm))
     else:
-        meet = Projector(meet_basis @ meet_basis.conj().T, meet_basis.shape[1])
+        meet = Projector(meet_basis @ meet_basis.conj().T)
     return join, meet
 
 
@@ -205,4 +205,4 @@ def record_support_projector(record) -> Projector:
         return onto_vector(record.amplitudes)
     eigvals, eigvecs = np.linalg.eigh(record.elements)
     support = eigvecs[:, eigvals > 1e-12]
-    return Projector(support @ support.conj().T, support.shape[1])
+    return Projector(support @ support.conj().T)
