@@ -108,7 +108,7 @@ class ExperimentConfig:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResultArtifact:
     experiment: str
     config_echo: str
@@ -116,7 +116,6 @@ class ResultArtifact:
     rows: list[dict] = field(default_factory=list)
     payload: Optional[dict] = None
     comments: list[str] = field(default_factory=list)
-    duration_s: float = 0.0
 
     def rendered(self, fmt: str) -> str:
         if fmt == "json":
@@ -566,13 +565,15 @@ def observer_lists(
     reads each member through the environment (a nondemolition readout in
     B's basis, sampled from the decohered state's Born weights) producing
     L_B, decoherence acts again, and A remeasures in their own basis to get
-    L_A2.  Returns the pairwise list agreement fractions; an unknown basis
-    or an empty ensemble raises ``ValueError``.
+    L_A2.  Returns the pairwise list agreement fractions; an unknown basis,
+    an empty ensemble or a negative seed raises ``ValueError``.
     """
     prepare = _readout_frame(prepare_basis, "prepare_basis")
     measure = _readout_frame(measure_basis, "measure_basis")
     ensemble = _checked_integer(ensemble, "ensemble")
     _require(ensemble >= 1, "ensemble must be positive")
+    seed = _checked_integer(seed, "seed")
+    _require(seed >= 0, "seed must be nonnegative, got {!r}", seed)
     rng = np.random.default_rng(seed)
     channel = DephasingChannel.computational(1, t_d)
     # Row l is W^H|l>; both frames are real and symmetric, so that is the prepared W|l>.
@@ -659,10 +660,8 @@ def run(config: ExperimentConfig) -> ResultArtifact:
     message = "experiment '{}' samples stochastically and needs a seed"
     _require(config.seed is not None or not spec.seeded, message, name, error=ConfigError)
     _require(config.fmt == "json" or not spec.json_only, _JSON_ONLY, name, error=ConfigError)
-    started = time.perf_counter()
     result = spec.run({**spec.defaults, **config.params}, config.seed)
     artifact = ResultArtifact(experiment=name, config_echo=config.echo(), **result)
-    artifact.duration_s = time.perf_counter() - started
     artifact.write(config.out, config.fmt)
     return artifact
 
@@ -677,19 +676,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--seed", default=None, type=int, help="RNG seed (uint64)")
     args = parser.parse_args(argv)
 
+    started = time.perf_counter()
     try:
         config = load_config(args.config, args)
-        artifact = run(config)
+        run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    print(
-        f"{config.experiment}: wrote {config.out} "
-        f"({artifact.duration_s:.2f}s, {BUILD_ID})"
-    )
+    duration_s = time.perf_counter() - started
+    print(f"{config.experiment}: wrote {config.out} ({duration_s:.2f}s, {BUILD_ID})")
     return 0
 
 

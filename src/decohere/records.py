@@ -17,21 +17,16 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .dephasing import DephasingChannel, _in_pointer_frame, decohered_limit
+from .dephasing import _in_pointer_frame
 from .probability import UNDEFINED_CONDITIONAL, ProbabilityVector
-from .sieve import (
-    DynamicsSpec,
-    Horizon,
-    evolve_entropy,
-    predictability_horizon,
-    purity_horizon,
-)
+from .sieve import DynamicsSpec, Horizon, evolve_entropy, predictability_horizon
 from .states import (
     MAX_DENSE_QUBITS,
+    MAX_PURE_QUBITS,
     DensityMatrix,
     Projector,
     PureState,
@@ -44,6 +39,8 @@ from .states import (
 )
 
 RECORD_ORTHOGONALITY_TOL = 1e-10
+# Register weights above this count as branches; every outcome must outweigh it.
+BRANCH_THRESHOLD = 1e-6
 
 
 RecordState = Union[PureState, DensityMatrix]
@@ -67,14 +64,11 @@ class MemoryModel:
     probabilities: ProbabilityVector
     system_states: tuple[PureState, ...]
     record_states: tuple[RecordState, ...]
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         k = len(self.probabilities)
         if len(self.system_states) != k or len(self.record_states) != k:
             raise ValueError("need one system state and one record state per outcome")
-        if self.labels is not None and len(self.labels) != k:
-            raise ValueError("need one label per outcome")
         sys_n = {s.num_qubits for s in self.system_states}
         rec_n = {r.num_qubits for r in self.record_states}
         if len(sys_n) != 1 or len(rec_n) != 1:
@@ -155,24 +149,18 @@ def conditional_system_state(
     return DensityMatrix(conditioned / weight, model.system_qubits)
 
 
-def outcome_horizon(
-    model: MemoryModel,
-    dynamics: DynamicsSpec,
-    outcome: int,
-    measure: str = "entropy",
-) -> Horizon:
+def outcome_horizon(model: MemoryModel, dynamics: DynamicsSpec, outcome: int) -> Horizon:
     """Predictability horizon of one outcome's conditional system state.
 
     The system factor evolves under ``dynamics`` while the record is held
     perfectly (no amnesia); the horizon of the conditional state is then
-    the same normalized relaxation integral used by the sieve, with
-    ``measure`` selecting the entropy or the purity functional.  Horizons
-    can and typically will differ between outcomes.
+    the sieve's normalized entropy relaxation integral.  Horizons can and
+    typically will differ between outcomes.  The purity horizon of outcome
+    ``k`` is ``purity_horizon(evolve_entropy(conditional_system_state(
+    correlate(model), model, k), dynamics))``.
     """
-    horizons = {"entropy": predictability_horizon, "purity": purity_horizon}
-    _require(measure in horizons, "unknown horizon measure {!r}", measure)
     conditional = conditional_system_state(correlate(model), model, outcome)
-    return horizons[measure](evolve_entropy(conditional, dynamics))
+    return predictability_horizon(evolve_entropy(conditional, dynamics))
 
 
 def _kron_power(block: np.ndarray, cells: int) -> np.ndarray:
@@ -217,54 +205,39 @@ def _cell_matrices(model: MemoryModel, record_basis: str) -> list[np.ndarray]:
 
 
 def _record_register(
-    probabilities: np.ndarray, blocks: Sequence[np.ndarray], cells: int
+    probabilities: np.ndarray, diagonals: Sequence[np.ndarray], cells: int
 ) -> np.ndarray:
-    """sum_i p_i block_i^(x cells) over one block per outcome.
+    """Diagonal of the record register sum_i p_i cell_i^(x cells), at O(2^cells).
 
-    Given the cell matrices this is the record register's density matrix,
-    O(4^cells).  Given their diagonals it is the register's diagonal, at
-    O(2^cells): the diagonal of a Kronecker chain is the chain of the
-    diagonals, and the entries are the same products, so the same bits.
+    The diagonal of a Kronecker chain is the chain of the diagonals, and
+    the entries are the same products, so the same bits as the whole
+    register's diagonal.
     """
-    total = np.zeros(tuple(s**cells for s in blocks[0].shape), dtype=complex)
-    for p_i, block in zip(probabilities, blocks):
-        total += p_i * _kron_power(block, cells)
+    total = np.zeros(diagonals[0].size**cells, dtype=complex)
+    for p_i, diagonal in zip(probabilities, diagonals):
+        total += p_i * _kron_power(diagonal, cells)
     return total
 
 
-def branch_count(
-    model: MemoryModel,
-    record_basis: str,
-    cells: int,
-    channel: Optional[DephasingChannel] = None,
-    threshold: float = 1e-6,
-) -> int:
+def branch_count(model: MemoryModel, record_basis: str, cells: int) -> int:
     """Number of surviving branches after the record register decoheres.
 
     Records are written in the pointer or the conjugate (Hadamard) basis,
     replicated over ``cells`` cells, then decohered in the register's
     einselected computational basis; branches are diagonal entries heavier
-    than ``threshold``.  Pointer records keep one branch per outcome;
-    conjugate records explode into 2^cells branches.  Only a ``channel``
-    with another pointer frame needs the whole register.
+    than ``BRANCH_THRESHOLD``.  Pointer records keep one branch per outcome;
+    conjugate records explode into 2^cells branches.  The register's
+    diagonal is as large as a pure state, so it holds at most
+    ``MAX_PURE_QUBITS`` qubits.
     """
     min_p = float(model.probabilities.values.min())
-    _require(
-        0.0 < threshold < min_p, "threshold must lie in (0, {}), got {!r}", min_p, threshold
-    )
+    message = "every outcome probability must exceed the branch threshold {!r}, got {!r}"
+    _require(min_p > BRANCH_THRESHOLD, message, BRANCH_THRESHOLD, min_p)
     cells = _cell_count(cells)
-    cell_mats = _cell_matrices(model, record_basis)
-    probabilities = model.probabilities.values
-    if channel is None:
-        weights = _record_register(probabilities, [m.diagonal() for m in cell_mats], cells)
-    else:
-        width = _check_register(cells * model.record_qubits, MAX_DENSE_QUBITS)
-        if channel.dim != 2**width:
-            raise ValueError("channel dimension does not match the record register")
-        register = _record_register(probabilities, cell_mats, cells)
-        rho = _trusted(DensityMatrix, "elements", register, num_qubits=width)
-        weights = decohered_limit(rho, channel).elements.diagonal()
-    return int(np.sum(weights.real > threshold))
+    _check_register(cells * model.record_qubits, MAX_PURE_QUBITS)
+    diagonals = [m.diagonal() for m in _cell_matrices(model, record_basis)]
+    weights = _record_register(model.probabilities.values, diagonals, cells)
+    return int(np.sum(weights.real > BRANCH_THRESHOLD))
 
 
 def record_consensus(model: MemoryModel, cells: int, basis: str) -> float:
@@ -310,7 +283,9 @@ class RecordSequence:
 
     @classmethod
     def constant(cls, symbol, length: int, alphabet: Sequence) -> "RecordSequence":
-        return cls((symbol,) * _integer(length, "length"), tuple(alphabet))
+        length = _integer(length, "length")
+        _require(length >= 0, "length must be nonnegative, got {!r}", length)
+        return cls((symbol,) * length, tuple(alphabet))
 
 
 def _run_lengths(symbols: Sequence) -> list[int]:

@@ -439,6 +439,8 @@ def bloch_state(theta: float, phi: float) -> PureState:
 def bloch_grid(theta_steps: int = 36, phi_steps: int = 36) -> list[tuple[float, float]]:
     """Plain product grid over (theta, phi); poles repeat across phi."""
     theta_steps, phi_steps = _integer(theta_steps, "theta_steps"), _integer(phi_steps, "phi_steps")
+    message = "theta_steps and phi_steps must be at least 1, got {!r} and {!r}"
+    _require(theta_steps >= 1 and phi_steps >= 1, message, theta_steps, phi_steps)
     angles = []
     for i in range(theta_steps + 1):
         theta = math.pi * i / theta_steps

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import pinch_oracle
-import trusted_oracle
 from decohere.dephasing import (
     DephasingChannel,
     _hadamard_entry,
@@ -25,8 +24,7 @@ from decohere.dephasing import (
     decohered_limit,
     dephase,
 )
-from decohere.probability import ProbabilityVector, uniform_outcome_probabilities
-from decohere.records import MemoryModel, branch_count
+from decohere.probability import uniform_outcome_probabilities
 from decohere.states import DensityMatrix, PureState, _trusted
 
 RNG = np.random.default_rng(909)
@@ -87,21 +85,6 @@ def test_named_frames_match_explicit_pinching(n):
                     _check(dephase(rho, channel, t), pinch_oracle.dephase(full, channel, t), frame)
             assert rank_one is None or "elements" not in vars(rank_one)
         assert "basis" not in vars(channel)
-
-
-@pytest.mark.parametrize("cells", range(1, 9))
-def test_branch_count_in_hadamard_frame_matches_full_register(cells):
-    p = float(RNG.uniform(0.05, 0.45))
-    model = MemoryModel(
-        probabilities=ProbabilityVector([p, 1.0 - p]),
-        system_states=(PureState.basis(1, 0), PureState.basis(1, 1)),
-        record_states=(PureState.basis(1, 1), PureState.basis(1, 0)),
-    )
-    for frame in NAMED:
-        channel = DephasingChannel._named(frame, cells, 1.0)
-        for basis in ("pointer", "conjugate"):
-            want = trusted_oracle.branch_count(model, basis, cells, channel=channel)
-            assert branch_count(model, basis, cells, channel=channel) == want
 
 
 def _digest(mat: np.ndarray) -> str:

@@ -9,6 +9,7 @@ from decohere import records
 from decohere.dephasing import DephasingChannel, decohered_limit, dephase
 from decohere.probability import ProbabilityVector
 from decohere.records import (
+    BRANCH_THRESHOLD,
     MemoryModel,
     RecordSequence,
     branch_count,
@@ -20,8 +21,8 @@ from decohere.records import (
     record_consensus,
     redundant_records,
 )
-from decohere.sieve import DynamicsSpec, uniform_grid
-from decohere.states import DensityMatrix, Projector, PureState
+from decohere.sieve import DynamicsSpec, evolve_entropy, purity_horizon, uniform_grid
+from decohere.states import MAX_PURE_QUBITS, DensityMatrix, Projector, PureState
 
 RNG = np.random.default_rng(8080)
 
@@ -299,18 +300,10 @@ def test_outcome_horizons_differ_between_outcomes():
 
 
 def test_outcome_horizon_purity_measure():
-    horizon = outcome_horizon(pointer_conjugate_model(), horizon_dynamics(), 1, measure="purity")
+    model = pointer_conjugate_model()
+    conditional = conditional_system_state(correlate(model), model, 1)
+    horizon = purity_horizon(evolve_entropy(conditional, horizon_dynamics()))
     assert horizon.value == pytest.approx(0.25, abs=1e-4)
-
-
-def test_outcome_horizon_checks_the_measure_before_any_work(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("worked on a request with an unknown measure")
-
-    monkeypatch.setattr(records, "correlate", unreachable)
-    monkeypatch.setattr(records, "evolve_entropy", unreachable)
-    with pytest.raises(ValueError, match="unknown horizon measure 'energy'"):
-        outcome_horizon(pointer_conjugate_model(), horizon_dynamics(), 1, measure="energy")
 
 
 # --- redundant records and branches --------------------------------------------
@@ -367,16 +360,25 @@ def test_branch_counts():
         assert branch_count(model, "conjugate", cells) == 2**cells
 
 
-def test_branch_count_with_explicit_channel():
-    model = two_outcome_model()
-    ch = DephasingChannel.computational(3, 1.0)
-    assert branch_count(model, "conjugate", 3, channel=ch) == 8
-
-
 def test_branch_count_threshold_validation():
-    model = two_outcome_model()
-    with pytest.raises(ValueError, match="threshold"):
-        branch_count(model, "pointer", 2, threshold=0.5)
+    """An outcome no heavier than the branch threshold could not be counted as a branch."""
+    for light in (0.0, 1e-7, BRANCH_THRESHOLD):
+        model = MemoryModel(
+            probabilities=ProbabilityVector([light, 1.0 - light]),
+            system_states=(PureState.basis(1, 0), PureState.basis(1, 1)),
+            record_states=(PureState.basis(1, 1), PureState.basis(1, 0)),
+        )
+        with pytest.raises(ValueError, match="threshold"):
+            branch_count(model, "pointer", 2)
+
+
+def test_branch_count_caps_the_register_before_building_it(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("built a register past the cap")
+
+    monkeypatch.setattr(records, "_record_register", unreachable)
+    with pytest.raises(ValueError, match=f"num_qubits must be in 1..{MAX_PURE_QUBITS}, got 21"):
+        branch_count(two_outcome_model(), "conjugate", MAX_PURE_QUBITS + 1)
 
 
 # --- compressibility proxy -------------------------------------------------------

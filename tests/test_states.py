@@ -495,15 +495,37 @@ AMPS_2 = np.full(4, 0.5)
         lambda: bloch_grid(4, 2.5),
         lambda: observer_lists("pointer", "pointer", 2.5, 1),
         lambda: RecordSequence.constant(0, 2.5, (0, 1)),
+        lambda: observer_lists("pointer", "pointer", 10, 2.5),
+        lambda: observer_lists("pointer", "pointer", 10, float("nan")),
+        lambda: observer_lists("pointer", "pointer", 10, "1"),
     ],
     ids=["qubit", "keep", "width", "basis-width", "basis-index", "nan-width", "inf-width",
          "label", "basis-states-dim", "identity-dim", "identity-nan", "string",
          "chain-environment", "noise-chain-environment", "grid-steps", "bloch-theta-steps",
-         "bloch-phi-steps", "ensemble", "constant-length"],
+         "bloch-phi-steps", "ensemble", "constant-length", "seed", "seed-nan", "seed-string"],
 )
 def test_integer_arguments_are_checked_not_truncated(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bloch_grid(0, 36), "at least 1"),
+        (lambda: bloch_grid(4, 0), "at least 1"),
+        (lambda: observer_lists("pointer", "pointer", 10, -1), "seed must be nonnegative"),
+        (lambda: RecordSequence.constant(0, -3, (0, 1)), "length must be nonnegative"),
+    ],
+    ids=["bloch-theta-steps", "bloch-phi-steps", "seed", "constant-length"],
+)
+def test_integer_arguments_below_their_range_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_empty_constant_sequence_stays_valid():
+    assert RecordSequence.constant(0, 0, (0, 1)).symbols == RecordSequence((), (0, 1)).symbols == ()
 
 
 def test_integral_floats_and_numpy_ints_pass_as_ints():

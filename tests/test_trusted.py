@@ -158,27 +158,7 @@ def test_correlate_and_replicas_match_checked(n):
             _assert_trusted(got, want, *_record_inputs(model))
 
 
-@pytest.mark.parametrize("basis", ["pointer", "conjugate"])
-@pytest.mark.parametrize("rec_n", [1, 2])
-def test_channel_register_is_valid_by_construction(basis, rec_n):
-    for cells in range(1, 8 // rec_n + 1):
-        model = _random_model(2, 1, rec_n, mixed=rec_n == 2)
-        blocks = _cell_matrices(model, basis)
-        register = _record_register(model.probabilities.values, blocks, cells)
-        want = trusted_oracle._record_register_state(model, basis, cells)
-        assert register.tobytes() == want.tobytes()
-        DensityMatrix(register, cells * rec_n)
-
-
 # --- branch counting from diagonals ------------------------------------------------
-
-
-def _thresholds(weights: np.ndarray, min_p: float) -> list[float]:
-    """Thresholds at, just under and just over the weights, inside (0, min_p)."""
-    near = [1e-6]
-    for w in RNG.permutation(np.unique(weights[(weights > 0) & (weights < min_p)]))[:4]:
-        near += [float(w), float(np.nextafter(w, 0.0)), float(np.nextafter(w, 1.0))]
-    return [t for t in near if 0.0 < t < min_p]
 
 
 @pytest.mark.parametrize("basis", ["pointer", "conjugate"])
@@ -192,24 +172,7 @@ def test_branch_count_matches_full_register(basis, rec_n, mixed):
         got = _record_register(model.probabilities.values, blocks, cells).real
         want = trusted_oracle.register_weights(model, basis, cells)
         assert got.tobytes() == want.tobytes()
-        min_p = float(model.probabilities.values.min())
-        for threshold in _thresholds(want, min_p):
-            count = branch_count(model, basis, cells, threshold=threshold)
-            assert count == trusted_oracle.branch_count(model, basis, cells, threshold=threshold)
-
-
-@pytest.mark.parametrize("basis", ["pointer", "conjugate"])
-def test_branch_count_with_channel_matches_full_register(basis):
-    for cells in range(1, 6):
-        model = _random_model(2, 1, 1, mixed=False)
-        channels = [
-            DephasingChannel.computational(cells, 1.0),
-            DephasingChannel.hadamard(cells, 1.0),
-            DephasingChannel(_random_unitary(2**cells), 1.0),
-        ]
-        for channel in channels:
-            got = branch_count(model, basis, cells, channel=channel)
-            assert got == trusted_oracle.branch_count(model, basis, cells, channel=channel)
+        assert branch_count(model, basis, cells) == trusted_oracle.branch_count(model, basis, cells)
 
 
 def test_branch_count_keeps_its_errors():
@@ -218,8 +181,6 @@ def test_branch_count_keeps_its_errors():
         branch_count(model, "diagonal", 3)
     with pytest.raises(ValueError, match="memory cell"):
         branch_count(model, "pointer", 0)
-    with pytest.raises(ValueError, match="channel dimension"):
-        branch_count(model, "pointer", 3, channel=DephasingChannel.computational(2, 1.0))
 
 
 # --- allocation guards ----------------------------------------------------------------

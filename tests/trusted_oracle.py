@@ -132,26 +132,11 @@ def register_weights(model, record_basis: str, cells: int) -> np.ndarray:
     return _record_register_state(model, record_basis, cells).diagonal().real
 
 
-def branch_count(
-    model,
-    record_basis: str,
-    cells: int,
-    channel: DephasingChannel | None = None,
-    threshold: float = 1e-6,
-) -> int:
+def branch_count(model, record_basis: str, cells: int) -> int:
     min_p = float(model.probabilities.values.min())
-    if not (0.0 < threshold < min_p):
-        raise ValueError(f"threshold must lie in (0, {min_p}), got {threshold!r}")
-    rho = _record_register_state(model, record_basis, cells)
-    width = cells * model.record_qubits
-    if channel is not None:
-        if channel.dim != rho.shape[0]:
-            raise ValueError("channel dimension does not match the record register")
-        limit = decohered_limit(DensityMatrix(rho, width), channel)
-        weights = limit.elements.diagonal().real
-    else:
-        weights = rho.diagonal().real
-    return int(np.sum(weights > threshold))
+    if not min_p > 1e-6:
+        raise ValueError(f"every outcome probability must exceed the threshold 1e-06, got {min_p!r}")
+    return int(np.sum(register_weights(model, record_basis, cells) > 1e-6))
 
 
 def maximally_mixed(num_qubits: int) -> DensityMatrix:
