@@ -348,8 +348,7 @@ def _run_sieve(p: dict, seed: Optional[int]) -> dict:
     dyn = DynamicsSpec(channel, uniform_grid(horizon, steps), horizon)
     angles = bloch_grid(theta_steps, phi_steps)
     candidates = [bloch_state(theta, phi) for theta, phi in angles]
-    labels = [f"theta={theta:.6f},phi={phi:.6f}" for theta, phi in angles]
-    reports = sieve_rank(candidates, dyn, labels=labels, angles=angles)
+    reports = sieve_rank(candidates, dyn, angles=angles)
     rows = [
         {
             "theta": r.theta,
@@ -556,7 +555,6 @@ def observer_lists(
     measure_basis: str,
     ensemble: int,
     seed: int,
-    t_d: float = 1.0,
 ) -> dict:
     """Two-observer list-comparison protocol on a decohering ensemble.
 
@@ -575,7 +573,8 @@ def observer_lists(
     seed = _checked_integer(seed, "seed")
     _require(seed >= 0, "seed must be nonnegative, got {!r}", seed)
     rng = np.random.default_rng(seed)
-    channel = DephasingChannel.computational(1, t_d)
+    # The t -> oo pinching never reads t_d.
+    channel = DephasingChannel.computational(1, 1.0)
     # Row l is W^H|l>; both frames are real and symmetric, so that is the prepared W|l>.
     prepared = _pointer_coefficients(prepare, np.eye(2, dtype=complex))
 
@@ -607,13 +606,11 @@ def observer_lists(
     prepare_basis="pointer",
     measure_basis="pointer",
     ensemble=1000,
-    t_d=1.0,
 )
 def _run_observer_lists(p: dict, seed: Optional[int]) -> dict:
     ensemble = _integer(p["ensemble"], "ensemble", 1, math.inf)
-    t_d = _positive(p["t_d"], "t_d")
     bases = p["prepare_basis"], p["measure_basis"]
-    outcome = _built("basis", observer_lists, *bases, ensemble, seed, t_d)
+    outcome = _built("basis", observer_lists, *bases, ensemble, seed)
     columns = ["pair", "agreement", "ensemble", "prepare_basis", "measure_basis"]
     pairs = (("L_A:L_B", "a_b"), ("L_A:L_A2", "a_a2"), ("L_B:L_A2", "b_a2"))
     shared = {column: outcome[column] for column in columns[2:]}

@@ -16,8 +16,9 @@ applies a frame: the sieve, the records and the CLI go through
 The two named frames, computational and Hadamard, stay implicit: a channel
 from ``computational``, ``hadamard`` or a named ``channel_from_spec`` holds
 its frame kind, width and t_d, and builds ``basis`` only when it is read.  A
-matrix given to the constructor is matched exactly against the two named
-frames, which skip the Gram check.  Pi takes one form per frame:
+matrix given to the constructor is always a dense frame and runs the Gram
+check, even one equal to a named frame; pass the frame by name to get the
+implicit path.  Pi takes one form per frame:
 
 * computational: diag(diag rho).  ``dephase`` writes rho (psi psi^H for a
   pure input) into its output once, scales it by f in place and rewrites
@@ -109,44 +110,6 @@ def _walsh_hadamard(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _is_identity(mat: np.ndarray) -> bool:
-    """``np.array_equal(mat, np.eye(d))`` for complex ``mat``, without the identity.
-
-    Every diagonal entry == 1, and no nonzero (or NaN) real or imaginary
-    part besides those d.  The diagonal goes first, so any other frame is
-    turned away without a scan of the whole matrix.
-    """
-    if not np.all(mat.diagonal() == 1):
-        return False
-    # Counting over the float64 parts is about twice as fast as over complex entries.
-    return np.count_nonzero(mat.ravel(order="K").view(np.float64)) == mat.shape[0]
-
-
-def _is_hadamard_frame(mat: np.ndarray) -> bool:
-    """Whether ``mat`` equals ``_hadamard_frame(n)`` exactly, without building it.
-
-    Every entry of that frame is +-v, v the rounded n-fold product of
-    1/sqrt(2), with sign (-1)^popcount(i & j).  So its quadrants are
-    [[F, F], [F, -F]], and F has the same form down to the 1 x 1 block [v].
-    """
-    d = mat.shape[0]
-    if d < 2 or d & (d - 1):
-        return False
-    v = _hadamard_entry(d.bit_length() - 1)
-    block = mat
-    while block.shape[0] > 1:
-        h = block.shape[0] // 2
-        top = block[:h, :h]
-        if not (
-            np.array_equal(block[:h, h:], top)
-            and np.array_equal(block[h:, :h], top)
-            and np.array_equal(block[h:, h:], -top)
-        ):
-            return False
-        block = top
-    return bool(block[0, 0] == v)
-
-
 def _checked_t_d(t_d) -> float:
     _require(float(t_d) > 0.0, "t_d must be positive, got {!r}", t_d)
     return float(t_d)
@@ -165,17 +128,11 @@ class DephasingChannel:
 
     def __post_init__(self) -> None:
         mat = _square(self.basis, "pointer basis must be square and nonempty, got shape {}")
-        if _is_identity(mat):
-            frame = "computational"
-        elif _is_hadamard_frame(mat):
-            frame = "hadamard"
-        else:
-            frame = "dense"
-            defect = _frame_defect(mat)
-            _require(defect <= BASIS_TOL, "pointer basis not orthonormal: defect {!r}", defect)
+        defect = _frame_defect(mat)
+        _require(defect <= BASIS_TOL, "pointer basis not orthonormal: defect {!r}", defect)
         object.__setattr__(self, "t_d", _checked_t_d(self.t_d))
         object.__setattr__(self, "basis", mat)
-        object.__setattr__(self, "_frame", frame)
+        object.__setattr__(self, "_frame", "dense")
         object.__setattr__(self, "_dim", mat.shape[0])
 
     @classmethod

@@ -31,7 +31,6 @@ probability 1/2 + ||D_P||_1 / 4.  This is exact: max(a, b) =
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Optional, Sequence
@@ -39,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dephasing import _pointer_coefficients, _walsh_hadamard
-from .states import PureState, _norm_sq, _readonly, _require, _trusted, check_qubits
+from .states import PureState, _integer, _norm_sq, _readonly, _require, _trusted, check_qubits
 
 MAX_SEARCH_QUBITS = 8
 NULL_WEIGHT = 1e-12
@@ -317,8 +316,7 @@ def error_robustness(joint: JointState, basis: str, k: int) -> float:
     once into its two branch rows, which serve both the two-branch check
     and the |+>/|-> records.
     """
-    if not isinstance(k, numbers.Integral):
-        raise ValueError(f"error count must be an integer, got {k!r}")
+    k = _integer(k, "error count")
     n = joint.environment_size
     if n == 0:
         raise ValueError("decoding robustness needs at least one environment qubit")

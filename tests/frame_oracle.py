@@ -188,10 +188,10 @@ def readout_consensus(model, cells: int, basis: str) -> float:
     return total
 
 
-def observer_lists(prepare_basis, measure_basis, ensemble, seed, t_d=1.0) -> dict:
+def observer_lists(prepare_basis, measure_basis, ensemble, seed) -> dict:
     """``cli.observer_lists`` with Born weights of projectors onto ``_hadamard_frame(1)`` columns."""
     rng = np.random.default_rng(seed)
-    channel = DephasingChannel.computational(1, t_d)
+    channel = DephasingChannel.computational(1, 1.0)
     hadamard = _hadamard_frame(1)
 
     def outcome_one(basis: str) -> Projector:

@@ -95,7 +95,8 @@ BAD_PARAMETERS = [
     ("sieve-theta-string", "sieve", {"theta_steps": "a"}, None, [], "theta_steps"),
     ("probability-m_start-zero", "probability", {"m_start": 0}, 3, [], "m_start"),
     ("probability-p-nan", "probability", {"p": [0.5, math.nan]}, 3, [], "p"),
-    ("observer-t_d-zero", "observer-lists", {"t_d": 0}, 3, [], "t_d"),
+    # observer_lists reads only the t -> oo limit, so it takes no t_d.
+    ("observer-t_d-unknown", "observer-lists", {"t_d": 1.0}, 3, [], "t_d"),
     ("seed-string", "observer-lists", {}, "abc", [], "seed"),
     ("seed-negative", "observer-lists", {}, -1, [], "seed"),
     ("seed-flag-negative", "observer-lists", {}, None, ["--seed", "-1"], "seed"),
@@ -457,8 +458,8 @@ def test_observer_lists_raises_value_error_on_bad_input():
 
 def test_observer_lists_accepts_numpy_scalars():
     # Only the config boundary insists on JSON types; the library takes any real number.
-    expected = observer_lists("conjugate", "pointer", 500, 3, 2.0)
-    assert observer_lists("conjugate", "pointer", np.int64(500), 3, np.float64(2.0)) == expected
+    expected = observer_lists("conjugate", "pointer", 500, 3)
+    assert observer_lists("conjugate", "pointer", np.int64(500), np.int64(3)) == expected
 
 
 # --- reproducibility & rendering ------------------------------------------------------

@@ -21,6 +21,7 @@ from decohere.dephasing import (
 from decohere.probability import ProbabilityVector, uniform_outcome_probabilities
 from decohere.records import MemoryModel, record_consensus
 from decohere.redundancy import JointState, error_robustness
+from decohere.sieve import DynamicsSpec, evolve_entropy, uniform_grid
 from decohere.states import DensityMatrix, PureState
 
 RNG = np.random.default_rng(2024)
@@ -32,9 +33,9 @@ def _random_unitary(d: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def _random_density(n: int) -> DensityMatrix:
+def _random_density(n: int, rng=RNG) -> DensityMatrix:
     d = 2**n
-    a = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     mat = a @ a.conj().T
     return DensityMatrix(mat / np.trace(mat), n)
 
@@ -62,17 +63,60 @@ def test_pinching_and_dephasing_match_dense_frame(n):
             assert np.max(np.abs(got - want)) <= TOL
 
 
-def test_named_frames_and_equal_matrices_take_structured_paths():
+def test_named_frames_take_structured_paths_and_matrices_the_dense_one():
     for n in (1, 3):
         d = 2**n
         assert DephasingChannel.computational(n, 1.0)._frame == "computational"
         assert channel_from_spec("computational", 1.0, n)._frame == "computational"
-        assert DephasingChannel(np.eye(d), 1.0)._frame == "computational"
         assert DephasingChannel.hadamard(n, 1.0)._frame == "hadamard"
         assert channel_from_spec("hadamard", 1.0, n)._frame == "hadamard"
-        assert DephasingChannel(_hadamard_frame(n).copy(), 1.0)._frame == "hadamard"
-        spec = [[[v.real, v.imag] for v in row] for row in _hadamard_frame(n)]
-        assert channel_from_spec(spec, 1.0, n)._frame == "hadamard"
+        # A named frame written out as a matrix is a dense frame like any other.
+        assert DephasingChannel(np.eye(d), 1.0)._frame == "dense"
+        assert DephasingChannel(_hadamard_frame(n).copy(), 1.0)._frame == "dense"
+        for frame in (np.eye(d), _hadamard_frame(n)):
+            spec = [[[v.real, v.imag] for v in row] for row in frame]
+            assert channel_from_spec(spec, 1.0, n)._frame == "dense"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_named_frames_as_matrices_are_gram_checked_and_agree(n, monkeypatch):
+    """The identity and ``_hadamard_frame(n)`` given as matrices run the Gram check.
+
+    Every result agrees with the named channel's to 1e-12.
+    """
+    rng = np.random.default_rng(100 + n)
+    d = 2**n
+    checked = []
+    gram_check = dephasing._frame_defect
+
+    def counted(frame):
+        checked.append(frame.shape)
+        return gram_check(frame)
+
+    monkeypatch.setattr(dephasing, "_frame_defect", counted)
+    rho = _random_density(n, rng)
+    a = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi = PureState(a / np.linalg.norm(a), n)
+    named = (DephasingChannel.computational(n, 0.8), DephasingChannel.hadamard(n, 0.8))
+    for frame, want in zip((np.eye(d, dtype=complex), _hadamard_frame(n)), named):
+        checked.clear()
+        channel = DephasingChannel(frame, want.t_d)
+        assert channel._frame == "dense" and checked == [(d, d)]
+        pairs = [(decohered_limit(rho, channel), decohered_limit(rho, want))]
+        for t in (0.0, 0.3 * want.t_d, 2.0 * want.t_d):
+            pairs.append((dephase(rho, channel, t), dephase(rho, want, t)))
+        for got, ref in pairs:
+            assert np.max(np.abs(got.elements - ref.elements)) <= TOL
+        coeffs = np.exp(2j * np.pi * rng.uniform(size=d)) / math.sqrt(d)
+        uniform = PureState(frame @ coeffs, n)
+        got = uniform_outcome_probabilities(uniform, channel).values
+        assert np.max(np.abs(got - uniform_outcome_probabilities(uniform, want).values)) <= TOL
+        grid = uniform_grid(2.4, 6)
+        got = evolve_entropy(psi, DynamicsSpec(channel, grid, 2.4))
+        ref = evolve_entropy(psi, DynamicsSpec(want, grid, 2.4))
+        for field in ("entropies", "purities"):
+            assert np.max(np.abs(getattr(got, field) - getattr(ref, field))) <= TOL
+        assert abs(got.equilibrium_entropy - ref.equilibrium_entropy) <= TOL
 
 
 @pytest.mark.parametrize("n", [1, 4, 10])
@@ -93,34 +137,6 @@ def test_named_hadamard_channel_builds_its_frame_once(n, monkeypatch):
         assert channel.basis is first
         assert calls == [n]
         calls.clear()
-
-
-def test_identity_check_accepts_exactly_what_array_equal_accepts():
-    eye = np.eye(4, dtype=complex)
-    cases = [eye, np.eye(1, dtype=complex), np.zeros((4, 4), dtype=complex)]
-    signed = eye.copy()
-    signed[0, 1] = complex(-0.0, -0.0)
-    signed[2, 3] = complex(0.0, -0.0)
-    cases.append(signed)
-    for value in (complex(1.0, -0.0), 1 + 1e-300j, np.nextafter(1.0, 2.0), complex(1.0, np.nan), np.nan):
-        diag = eye.copy()
-        diag[2, 2] = value
-        cases.append(diag)
-    for value in (-0.0, 1e-300, 1j, np.nan):
-        off = eye.copy()
-        off[3, 0] = value
-        cases.append(off)
-    cases += [eye[[1, 0, 3, 2]], eye[::-1], _hadamard_frame(2), _random_unitary(4)]
-    # Fortran order and strided views, as a caller may pass them.
-    cases += [np.asfortranarray(off), np.asfortranarray(eye), np.eye(8, dtype=complex)[::2, ::2]]
-    accepted = 0
-    for mat in cases:
-        want = np.array_equal(mat, np.eye(mat.shape[0]))
-        assert dephasing._is_identity(mat) == want
-        accepted += want
-    # eye, 1 x 1, the signed zeros, 1 - 0j on the diagonal, -0.0 off it,
-    # eye in Fortran order, every other row and column of a larger eye.
-    assert accepted == 7
 
 
 def test_near_miss_frames_take_dense_path_with_gram_check():

@@ -291,7 +291,8 @@ NOT_BASIS = "record is not a computational basis state"
 WRONG_INDEX = "expected all-zeros / all-ones environment records"
 REJECTIONS = {
     "non-integer k": (_joint(1, {0: 1, 1: 1}), "bogus", 1.5, NOT_INTEGER.format(1.5)),
-    "integral float k": (ghz_joint(3), "pointer", 1.0, NOT_INTEGER.format(1.0)),
+    # 1.0 passes as the integer 1, so only the last check rejects it, as it does 1.
+    "integral float k": (ghz_joint(3), "bogus", 1.0, "unknown decoding basis 'bogus'"),
     "NaN k": (ghz_joint(3), "hadamard", math.nan, NOT_INTEGER.format(math.nan)),
     "no environment": (
         _joint(2, {0: 1}, (0, 1)),
@@ -338,8 +339,12 @@ def test_error_robustness_rejects_non_integer_k_before_reading_the_state(monkeyp
     def refuse(joint):
         raise AssertionError("the joint state was read")
 
-    assert error_robustness(ghz_joint(3), "pointer", np.int64(1)) == 1.0
+    joint = ghz_joint(3)
+    for basis in ("pointer", "hadamard"):
+        want = error_robustness(joint, basis, 1)
+        for k in (np.int64(1), 1.0):
+            assert error_robustness(joint, basis, k) == want
     monkeypatch.setattr(redundancy, "_register_tensor", refuse)
-    for k in (1.5, 1.0, math.nan):
+    for k in (1.5, math.nan):
         with pytest.raises(ValueError, match="must be an integer"):
             error_robustness(ghz_joint(3), "hadamard", k)

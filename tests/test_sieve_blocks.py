@@ -40,12 +40,13 @@ def _random_hermitian(rng, d: int) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def _frame(kind: str, d: int, rng) -> np.ndarray:
+def _channel(kind: str, num_qubits: int, t_d: float, rng) -> DephasingChannel:
+    """A named frame by name, so that its own path runs; "random" a dense frame."""
     if kind == "computational":
-        return np.eye(d, dtype=complex)
+        return DephasingChannel.computational(num_qubits, t_d)
     if kind == "hadamard":
-        return DephasingChannel.hadamard(d.bit_length() - 1, 1.0).basis
-    return _random_unitary(rng, d)
+        return DephasingChannel.hadamard(num_qubits, t_d)
+    return DephasingChannel(_random_unitary(rng, 2**num_qubits), t_d)
 
 
 def _qubit_grid(theta_steps: int, phi_steps: int):
@@ -125,7 +126,7 @@ def test_closed_form_qubit_grid_matches_oracle(kind, theta_steps, phi_steps):
     rng = np.random.default_rng(7)
     candidates, angles = _qubit_grid(theta_steps, phi_steps)
     assert len(candidates) % BLOCK_SIZE != 0
-    channel = DephasingChannel(_frame(kind, 2, rng), 1.0)
+    channel = _channel(kind, 1, 1.0, rng)
     dynamics = DynamicsSpec(channel, uniform_grid(50.0, 500), 50.0)
     _assert_matches_oracle(candidates, dynamics, CLOSED_TOL, angles=angles)
 
@@ -134,7 +135,7 @@ def test_closed_form_qubit_grid_matches_oracle(kind, theta_steps, phi_steps):
 def test_split_step_qubit_grid_matches_oracle(kind):
     rng = np.random.default_rng(11)
     candidates, angles = _qubit_grid(3, 5)
-    channel = DephasingChannel(_frame(kind, 2, rng), 1.0)
+    channel = _channel(kind, 1, 1.0, rng)
     # the cap ends the recording on a shorter step than the grid's
     dynamics = DynamicsSpec(
         channel, uniform_grid(25.0, 500), 25.03, self_hamiltonian=_random_hermitian(rng, 2)
@@ -147,7 +148,7 @@ def test_split_step_qubit_grid_matches_oracle(kind):
 def test_two_qubit_candidates_match_oracle(kind):
     rng = np.random.default_rng(13)
     candidates = _two_qubit_states(rng, 18)
-    channel = DephasingChannel(_frame(kind, 4, rng), 0.7)
+    channel = _channel(kind, 2, 0.7, rng)
     closed = DynamicsSpec(channel, uniform_grid(20.0, 200), 25.0)
     _assert_matches_oracle(candidates, closed, CLOSED_TOL)
     split = DynamicsSpec(channel, uniform_grid(20.0, 200), 20.0, self_hamiltonian=_random_hermitian(rng, 4))
