@@ -184,8 +184,10 @@ def channel_from_spec(spec, t_d: float, num_qubits: int) -> DephasingChannel:
     """Build a channel from its experiment-config form.
 
     ``spec`` is either a named basis ("computational" or "hadamard") or a
-    unitary given as row-major nested lists of [re, im] pairs.
+    unitary given as row-major nested lists of [re, im] pairs.  The width
+    is checked against the dense cap before any entry is read.
     """
+    num_qubits = _check_register(num_qubits, MAX_DENSE_QUBITS)
     if spec == "computational":
         return DephasingChannel.computational(num_qubits, t_d)
     if spec == "hadamard":

@@ -6,7 +6,8 @@ correlated block mixture sum_i p_i |s_i><s_i| (x) |mu_i><mu_i| (system
 qubits first, then memory).  On top of that the module computes the
 predictive conditional probability g(t), per-outcome predictability
 horizons, replicated (redundant) records, branch counting in the pointer
-versus the conjugate record basis, and a deterministic compressibility
+versus the conjugate record basis (a branch is a record string in the
+support of the decohered register), and a deterministic compressibility
 proxy for record sequences (an ideal-code-length stand-in for the
 uncomputable algorithmic information content).
 """
@@ -39,8 +40,6 @@ from .states import (
 )
 
 RECORD_ORTHOGONALITY_TOL = 1e-10
-# Register weights above this count as branches; every outcome must outweigh it.
-BRANCH_THRESHOLD = 1e-6
 
 
 RecordState = Union[PureState, DensityMatrix]
@@ -204,40 +203,39 @@ def _cell_matrices(model: MemoryModel, record_basis: str) -> list[np.ndarray]:
     return [_in_pointer_frame(frame, _record_matrix(r)) for r in model.record_states]
 
 
-def _record_register(
-    probabilities: np.ndarray, diagonals: Sequence[np.ndarray], cells: int
-) -> np.ndarray:
-    """Diagonal of the record register sum_i p_i cell_i^(x cells), at O(2^cells).
-
-    The diagonal of a Kronecker chain is the chain of the diagonals, and
-    the entries are the same products, so the same bits as the whole
-    register's diagonal.
-    """
-    total = np.zeros(diagonals[0].size**cells, dtype=complex)
-    for p_i, diagonal in zip(probabilities, diagonals):
-        total += p_i * _kron_power(diagonal, cells)
-    return total
-
-
 def branch_count(model: MemoryModel, record_basis: str, cells: int) -> int:
-    """Number of surviving branches after the record register decoheres.
+    """Number of branches: record strings that keep weight after the register decoheres.
 
     Records are written in the pointer or the conjugate (Hadamard) basis,
     replicated over ``cells`` cells, then decohered in the register's
-    einselected computational basis; branches are diagonal entries heavier
-    than ``BRANCH_THRESHOLD``.  Pointer records keep one branch per outcome;
-    conjugate records explode into 2^cells branches.  The register's
-    diagonal is as large as a pure state, so it holds at most
-    ``MAX_PURE_QUBITS`` qubits.
+    einselected computational basis.  A branch is a register string in the
+    support of sum_i p_i cell_i^(x cells): some outcome i with p_i > 0 has
+    every cell of the string in its one-cell support, the basis states
+    whose cell weight exceeds ``RECORD_ORTHOGONALITY_TOL``.  The count is
+    exact, at any register weight.  Pointer records keep one branch per
+    outcome; conjugate records explode into 2^cells branches.  Nothing of
+    size 2^cells is built, yet the register keeps the ``MAX_PURE_QUBITS``
+    width cap that every register of the package has.
     """
-    min_p = float(model.probabilities.values.min())
-    message = "every outcome probability must exceed the branch threshold {!r}, got {!r}"
-    _require(min_p > BRANCH_THRESHOLD, message, BRANCH_THRESHOLD, min_p)
     cells = _cell_count(cells)
     _check_register(cells * model.record_qubits, MAX_PURE_QUBITS)
-    diagonals = [m.diagonal() for m in _cell_matrices(model, record_basis)]
-    weights = _record_register(model.probabilities.values, diagonals, cells)
-    return int(np.sum(weights.real > BRANCH_THRESHOLD))
+    # Each one-cell basis state's mask: the outcomes whose support holds it.
+    masks = np.zeros(2**model.record_qubits, dtype=object)
+    cell_mats = _cell_matrices(model, record_basis)
+    for i, (p_i, cell) in enumerate(zip(model.probabilities.values, cell_mats)):
+        if p_i > 0:
+            masks[cell.diagonal().real > RECORD_ORTHOGONALITY_TOL] += 1 << i
+    groups = Counter(masks.tolist())
+    # Strings counted by the outcomes consistent with every cell so far.
+    strings = Counter({(1 << model.outcome_count) - 1: 1})
+    for _ in range(cells):
+        folded = Counter()
+        for mask, count in strings.items():
+            for cell_mask, cell_count in groups.items():
+                if mask & cell_mask:
+                    folded[mask & cell_mask] += count * cell_count
+        strings = folded
+    return sum(strings.values())
 
 
 def record_consensus(model: MemoryModel, cells: int, basis: str) -> float:

@@ -403,6 +403,18 @@ def test_records_json_format(tmp_path):
     assert conj == {1: 2, 2: 4, 3: 8}
 
 
+def test_records_with_a_zero_weight_outcome(tmp_path):
+    """beta 0 leaves one outcome: one pointer branch and 2^N conjugate ones, exit 0."""
+    out = tmp_path / "rec.json"
+    cfg = write_config(tmp_path, {"experiment": "records", "params": {"alpha": 1.0, "beta": 0.0}})
+    assert main(["--config", cfg, "--seed", "1", "--out", str(out), "--format", "json"]) == 0
+    rows = [r for r in json.loads(out.read_text())["rows"] if r["experiment"] == "branches"]
+    pointer = {r["N"]: r["branches"] for r in rows if r["basis"] == "pointer"}
+    conjugate = {r["N"]: r["branches"] for r in rows if r["basis"] == "conjugate"}
+    assert pointer == {n: 1 for n in range(1, 11)}
+    assert conjugate == {n: 2**n for n in range(1, 11)}
+
+
 def test_probability_json_values(tmp_path):
     out = tmp_path / "prob.json"
     cfg = make_config("probability", seed=5, out=str(out), fmt="json")

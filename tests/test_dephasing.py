@@ -200,3 +200,22 @@ def test_channel_from_bad_spec():
         channel_from_spec("fourier", 1.0, 1)
     with pytest.raises(ValueError, match="must be"):
         channel_from_spec([[[1.0, 0.0]]], 1.0, 1)
+
+
+class _UnreadSpec:
+    """A matrix spec that fails the test if any entry is read."""
+
+    def __iter__(self):
+        raise AssertionError("read a spec entry before checking the width")
+
+
+@pytest.mark.parametrize(
+    ("spec", "num_qubits"),
+    [([[[1, 0]]], 0), (_UnreadSpec(), 13), ("computational", 0), ("hadamard", 13)],
+    ids=["matrix-0", "matrix-13-unread", "computational-0", "hadamard-13"],
+)
+def test_channel_from_spec_checks_the_width_first(spec, num_qubits):
+    message = f"num_qubits must be in 1..12, got {num_qubits}"
+    with pytest.raises(ValueError) as info:
+        channel_from_spec(spec, 1.0, num_qubits)
+    assert str(info.value) == message

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import frame_oracle
+import trusted_oracle
 from decohere import cli, dephasing, probability, records, sieve
 from decohere.cli import EXPERIMENTS, observer_lists
 from decohere.dephasing import (
@@ -26,7 +27,6 @@ from decohere.probability import ProbabilityVector
 from decohere.records import (
     MemoryModel,
     _cell_matrices,
-    _record_register,
     branch_count,
     conditional_g,
     correlate,
@@ -171,8 +171,8 @@ def test_cell_matrices_and_branch_counts_match_dense_frame(rec_n, mixed):
         for got_cell, want_cell in zip(_cell_matrices(model, basis), want):
             _assert_frame_match(got_cell, want_cell, kind)
         for cells in range(1, 8 // rec_n + 1):
-            weights = _record_register(model.probabilities.values, [m.diagonal() for m in want], cells)
-            assert branch_count(model, basis, cells) == int(np.sum(weights.real > 1e-6))
+            support = trusted_oracle.register_support(model.probabilities.values, want, cells)
+            assert branch_count(model, basis, cells) == int(support.sum())
 
 
 @pytest.mark.parametrize("measure_basis", ["pointer", "conjugate"])

@@ -9,7 +9,6 @@ from decohere import records
 from decohere.dephasing import DephasingChannel, decohered_limit, dephase
 from decohere.probability import ProbabilityVector
 from decohere.records import (
-    BRANCH_THRESHOLD,
     MemoryModel,
     RecordSequence,
     branch_count,
@@ -360,23 +359,55 @@ def test_branch_counts():
         assert branch_count(model, "conjugate", cells) == 2**cells
 
 
-def test_branch_count_threshold_validation():
-    """An outcome no heavier than the branch threshold could not be counted as a branch."""
-    for light in (0.0, 1e-7, BRANCH_THRESHOLD):
+def test_branch_count_skips_zero_weight_outcomes():
+    """An outcome of weight 0 holds no branch; one of weight 1e-7 holds its own."""
+    for light, pointer_branches in ((0.0, 1), (1e-7, 2)):
         model = MemoryModel(
             probabilities=ProbabilityVector([light, 1.0 - light]),
             system_states=(PureState.basis(1, 0), PureState.basis(1, 1)),
             record_states=(PureState.basis(1, 1), PureState.basis(1, 0)),
         )
-        with pytest.raises(ValueError, match="threshold"):
-            branch_count(model, "pointer", 2)
+        for cells in (1, 2, 5):
+            assert branch_count(model, "pointer", cells) == pointer_branches
+            assert branch_count(model, "conjugate", cells) == 2**cells
+
+
+def test_leaky_records_count_their_light_branches():
+    """A pointer cell weight of 1e-8 on the other outcome's state is in the support."""
+    leak = math.sqrt(1e-8)
+    leaky = (
+        PureState.from_amplitudes([leak, math.sqrt(1.0 - 1e-8)]),
+        PureState.from_amplitudes([math.sqrt(1.0 - 1e-8), -leak]),
+    )
+    model = MemoryModel(ProbabilityVector([0.36, 0.64]), two_outcome_model().system_states, leaky)
+    for cells in (1, 2, 3):
+        assert branch_count(model, "pointer", cells) == 2**cells
+
+
+def test_branch_count_at_the_cap_builds_no_register(monkeypatch):
+    """Weights of 2^-20 per string still count, and the count holds at 64 outcomes."""
+
+    def unreachable(*args):
+        raise AssertionError("built a Kronecker power")
+
+    monkeypatch.setattr(records, "_kron_power", unreachable)
+    assert branch_count(two_outcome_model(), "conjugate", MAX_PURE_QUBITS) == 2**20
+    for rec_n, cells in ((4, 5), (6, 3)):
+        d = 2**rec_n
+        model = MemoryModel(
+            probabilities=ProbabilityVector(np.full(d, 1.0 / d)),
+            system_states=(PureState.basis(1, 0),) * d,
+            record_states=tuple(PureState.basis(rec_n, i) for i in range(d)),
+        )
+        assert branch_count(model, "pointer", cells) == d
+        assert branch_count(model, "conjugate", cells) == 2 ** (rec_n * cells)
 
 
 def test_branch_count_caps_the_register_before_building_it(monkeypatch):
     def unreachable(*args):
         raise AssertionError("built a register past the cap")
 
-    monkeypatch.setattr(records, "_record_register", unreachable)
+    monkeypatch.setattr(records, "_cell_matrices", unreachable)
     with pytest.raises(ValueError, match=f"num_qubits must be in 1..{MAX_PURE_QUBITS}, got 21"):
         branch_count(two_outcome_model(), "conjugate", MAX_PURE_QUBITS + 1)
 

@@ -1,12 +1,14 @@
-"""Trusted construction and diagonal-only branch counting against the checked code.
+"""Trusted construction and exact branch counting against the checked code.
 
 ``trusted_oracle`` holds the producers as they were, each result copied and
 checked by the public ``DensityMatrix``, ``PureState`` or ``Projector``
-constructor, and the branch count that built the whole 4^cells register.
-The trusted results must carry the same bits, pass the public check (their
-invariants hold by construction), be read-only and share no memory with
-their inputs; with the check patched to raise they must still be built.
-Branch counts agree exactly, and so do the weights they are counted on.
+constructor, the branch count that built the whole 4^cells register and
+thresholded its weights, and the register's support.  The trusted results
+must carry the same bits, pass the public check (their invariants hold by
+construction), be read-only and share no memory with their inputs; with the
+check patched to raise they must still be built.  Branch counts equal the
+support's size exactly; the threshold missed only strings of weight up to
+1e-6.
 """
 
 import tracemalloc
@@ -15,12 +17,11 @@ import numpy as np
 import pytest
 
 import trusted_oracle
-from decohere.dephasing import DephasingChannel, decohered_limit, dephase
+from decohere.dephasing import DephasingChannel, _hadamard_frame, decohered_limit, dephase
 from decohere.probability import ProbabilityVector, _union_and_intersection, sum_rule_violation
 from decohere.records import (
     MemoryModel,
     _cell_matrices,
-    _record_register,
     _record_support_projector,
     branch_count,
     correlate,
@@ -67,14 +68,16 @@ def _assert_trusted(got: DensityMatrix, want: DensityMatrix, *inputs: np.ndarray
         assert not np.shares_memory(got.elements, arr)
 
 
-def _random_model(outcomes: int, sys_n: int, rec_n: int, mixed: bool) -> MemoryModel:
-    """Random outcome weights, system states and orthogonal records in a random frame.
+def _random_model(
+    outcomes: int, sys_n: int, rec_n: int, mixed: bool, frame: np.ndarray | None = None
+) -> MemoryModel:
+    """Random outcome weights, system states and orthogonal records in ``frame`` (random if None).
 
     Mixed records spread random weights over a block of frame columns, so
     distinct outcomes still occupy orthogonal supports.
     """
     d = 2**rec_n
-    frame = _random_unitary(d)
+    frame = _random_unitary(d) if frame is None else frame
     cuts = np.sort(RNG.choice(np.arange(1, d), size=outcomes - 1, replace=False))
     groups = np.split(np.arange(d), cuts)
     records = []
@@ -158,21 +161,51 @@ def test_correlate_and_replicas_match_checked(n):
             _assert_trusted(got, want, *_record_inputs(model))
 
 
-# --- branch counting from diagonals ------------------------------------------------
+# --- branch counting as the register's support ----------------------------------------
+
+
+def _record_frame(kind: str, rec_n: int) -> np.ndarray:
+    """Records whose one-cell supports are full, disjoint, or shared by some outcomes."""
+    d = 2**rec_n
+    if kind == "random":
+        return _random_unitary(d)
+    if kind == "hadamard":
+        return _hadamard_frame(rec_n)
+    if kind == "permutation":
+        return np.eye(d)[:, RNG.permutation(d)]
+    # Random on the first qubit only: outcomes that share the rest share a support.
+    return np.kron(_random_unitary(2), np.eye(d // 2)[:, RNG.permutation(d // 2)])
+
+
+def _drop_an_outcome(model: MemoryModel) -> MemoryModel:
+    """The same records with one outcome's weight moved to the others."""
+    p = model.probabilities.values.copy()
+    p[RNG.integers(p.size)] = 0.0
+    return MemoryModel(ProbabilityVector(p / p.sum()), model.system_states, model.record_states)
 
 
 @pytest.mark.parametrize("basis", ["pointer", "conjugate"])
-@pytest.mark.parametrize("rec_n", [1, 2])
+@pytest.mark.parametrize("rec_n", [1, 2, 3])
 @pytest.mark.parametrize("mixed", [False, True])
 def test_branch_count_matches_full_register(basis, rec_n, mixed):
-    for cells in range(1, 10 // rec_n + 1):
-        outcomes = int(RNG.integers(2, 2**rec_n + 1))
-        model = _random_model(outcomes, 1, rec_n, mixed)
-        blocks = [m.diagonal() for m in _cell_matrices(model, basis)]
-        got = _record_register(model.probabilities.values, blocks, cells).real
-        want = trusted_oracle.register_weights(model, basis, cells)
-        assert got.tobytes() == want.tobytes()
-        assert branch_count(model, basis, cells) == trusted_oracle.branch_count(model, basis, cells)
+    """Exactly the register's support; beyond the 1e-6 threshold, only strings of weight <= 1e-6."""
+    for kind in ("random", "permutation", "hadamard", "one-qubit"):
+        for cells in range(1, 10 // rec_n + 1):
+            outcomes = int(RNG.integers(2, 2**rec_n + 1))
+            base = _random_model(outcomes, 1, rec_n, mixed, _record_frame(kind, rec_n))
+            for model in (base, _drop_an_outcome(base)):
+                cell_mats = _cell_matrices(model, basis)
+                support = trusted_oracle.register_support(model.probabilities.values, cell_mats, cells)
+                count = branch_count(model, basis, cells)
+                assert type(count) is int and count == int(support.sum())
+                weights = trusted_oracle.register_weights(model, basis, cells)
+                kept = weights > 1e-6
+                assert not np.any(kept & ~support)
+                extra = weights[support & ~kept]
+                assert np.all((extra > 0.0) & (extra <= 1e-6))
+                if model.probabilities.values.min() > 1e-6:
+                    want = trusted_oracle.branch_count(model, basis, cells)
+                    assert count == want + extra.size
 
 
 def test_branch_count_keeps_its_errors():

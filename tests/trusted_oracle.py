@@ -9,10 +9,12 @@ constructors, which copy and re-check the norm.  The projectors (identity,
 basis labels, complement, rank one, join and meet, a record's support) go
 through the public ``Projector`` constructor and its O(d^3) idempotency
 product; the zero-rank meet is ``np.zeros_like``, as it was.  ``branch_count`` builds the
-whole 4^cells record register only to read its diagonal; its record cells
-come from ``records._cell_matrices``, whose frame ``frame_oracle`` checks.
-The tests compare the trusted, diagonal-only code in ``decohere`` against
-this.
+whole 4^cells record register only to read its diagonal and counts the
+weights above 1e-6, as branches were once counted; ``register_support``
+marks every register string in the support, the branches as they are
+counted now.  Both take their record cells from ``records._cell_matrices``,
+whose frame ``frame_oracle`` checks.  The tests compare the trusted code and
+the exact branch count in ``decohere`` against this.
 """
 
 from __future__ import annotations
@@ -133,10 +135,28 @@ def register_weights(model, record_basis: str, cells: int) -> np.ndarray:
 
 
 def branch_count(model, record_basis: str, cells: int) -> int:
+    """The old count: register weights above a fixed threshold of 1e-6."""
     min_p = float(model.probabilities.values.min())
     if not min_p > 1e-6:
         raise ValueError(f"every outcome probability must exceed the threshold 1e-06, got {min_p!r}")
     return int(np.sum(register_weights(model, record_basis, cells) > 1e-6))
+
+
+def register_support(probabilities, cell_mats, cells: int) -> np.ndarray:
+    """Register strings in the support: the OR over outcomes of each one-cell support's Kronecker power.
+
+    An outcome's one-cell support holds the basis states whose cell weight
+    exceeds 1e-10; outcomes of probability 0 hold none.
+    """
+    held = np.zeros(cell_mats[0].shape[0] ** cells, dtype=bool)
+    for p_i, cell in zip(probabilities, cell_mats):
+        if p_i > 0:
+            support = cell.diagonal().real > 1e-10
+            power = support
+            for _ in range(cells - 1):
+                power = np.kron(power, support)
+            held |= power
+    return held
 
 
 def maximally_mixed(num_qubits: int) -> DensityMatrix:
