@@ -10,10 +10,14 @@ so a maximal run of them composes, like the Pauli and CNOT part of a
 stabilizer tableau (Aaronson & Gottesman, PRA 70, 052328, 2004), into one
 affine map over GF(2): output amplitude k is i^c (-1)^(s.k) times input
 amplitude A k + b.  Composing costs O(1) bit operations per gate; the map is
-then applied as one gather, with its index (and its sign mask, if any)
-XOR-ed together from two tables of 2^(n/2) entries.  An H breaks a run and
-is applied as one pass over its qubit's axis.  The phases are exact, so the
-result equals gate-by-gate application exactly (up to the sign of zeros).
+then applied as a gather, one row of at most ``_GATHER_ENTRIES`` amplitudes
+at a time.  A row's index (and its sign mask, if any) is XOR-ed in one
+reused buffer from a table of the row's own qubits and one of the rest, so
+a run holds its output and one row's index, never a 2^n table; ``take``
+runs in clip mode, which writes into the output unbuffered.  An H breaks a
+run and is applied as one pass over its qubit's axis.  The phases are
+exact, so the result equals gate-by-gate application exactly (up to the
+sign of zeros).
 """
 
 from __future__ import annotations
@@ -28,6 +32,10 @@ import numpy as np
 from .states import PureState, _integer, _trusted, check_qubits
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+# Amplitudes a compiled run gathers per row, and so the entries of its one
+# index buffer (128 KB of intp).  At 18-20 qubits rows of 2^14-2^16 timed
+# alike; 2^12 and 2^18 were slower.
+_GATHER_ENTRIES = 1 << 14
 
 
 class GateKind(str, Enum):
@@ -166,20 +174,13 @@ def _span(images: Sequence, dtype) -> np.ndarray:
     return table
 
 
-def _xor_table(images: Sequence, dtype, offset=0) -> np.ndarray:
-    """Entry k is offset XOR images[q] over the qubits q set in k (qubit 0 most significant).
+def _split_tables(images: Sequence, split: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Tables of the first ``split`` qubits and of the rest (qubit 0 most significant).
 
-    Built from the tables of the high and low halves of k, 2^(n/2) entries
-    each, XOR-ed into one flat array.
+    Entry k of the full table, the XOR of images[q] over the qubits q set
+    in k, is high[k // low.size] ^ low[k % low.size].
     """
-    half = len(images) // 2
-    high = _span(images[:half][::-1], dtype)
-    low = _span(images[half:][::-1], dtype)
-    if offset:
-        low ^= offset
-    out = np.empty((high.size, low.size), dtype=dtype)
-    np.bitwise_xor(high[:, None], low[None, :], out=out)
-    return out.reshape(-1)
+    return _span(images[:split][::-1], dtype), _span(images[split:][::-1], dtype)
 
 
 def _writable(amps: np.ndarray) -> np.ndarray:
@@ -187,14 +188,40 @@ def _writable(amps: np.ndarray) -> np.ndarray:
 
 
 def _apply_run(amps: np.ndarray, gates: Sequence[Gate], width: int) -> np.ndarray:
-    """Apply a compiled run: one gather, then signs and a global phase only if needed."""
+    """Apply a compiled run: a gather, then signs and a global phase only if needed.
+
+    The output is viewed as rows of at most ``_GATHER_ENTRIES`` amplitudes
+    and filled a row at a time.  Row r's gather index (and sign mask) is the
+    low table XOR high[r].  One buffer holds it: it starts as the low table
+    (high[0] is 0) and is XOR-ed in place with the scalar high[r - 1] ^
+    high[r] from row to row.  So the call holds the output and one row's
+    index, never a 2^n table, and runs no broadcast, whose ufunc buffers
+    would add to the peak.  ``take`` runs in clip mode: every index is an
+    XOR of n-bit column images, so it is below 2^n by construction and
+    clipping never moves it; unlike the default raise mode, which buffers
+    ``out``, clip mode writes straight into the row.
+    """
     cols, b, s, c = _compile_run(gates, width)
-    if b or cols != [1 << (width - 1 - q) for q in range(width)]:
-        amps = np.take(amps, _xor_table(cols, np.intp, b))
-    if s:
-        amps = _writable(amps)
-        mask = _xor_table([bool(s >> (width - 1 - q) & 1) for q in range(width)], bool)
-        np.negative(amps, out=amps, where=mask)
+    bits = [1 << (width - 1 - q) for q in range(width)]
+    gather = b or cols != bits
+    if gather or s:
+        out = np.empty_like(amps) if gather else _writable(amps)
+        split = width - min(width, _GATHER_ENTRIES.bit_length() - 1)
+        if gather:
+            high, index = _split_tables(cols, split, np.intp)
+            index ^= b
+        if s:
+            sign_high, mask = _split_tables([bool(s & bit) for bit in bits], split, bool)
+        for r, row in enumerate(out.reshape(1 << split, -1)):
+            if gather:
+                if r:
+                    np.bitwise_xor(index, high[r - 1] ^ high[r], out=index)
+                np.take(amps, index, out=row, mode="clip")
+            if s:
+                if r:
+                    np.bitwise_xor(mask, sign_high[r - 1] ^ sign_high[r], out=mask)
+                np.negative(row, out=row, where=mask)
+        amps = out
     if c == 2:
         amps = np.negative(amps, out=_writable(amps))
     elif c:
@@ -213,10 +240,12 @@ def apply(state: PureState, op: Union[Gate, Circuit]) -> PureState:
     """Apply a gate or a whole circuit to a pure state.
 
     Each maximal run of X, Y, Z and CNOT gates is compiled into one signed
-    permutation of the amplitudes and applied as one gather; each H is a
-    pass over its qubit's axis.  Unitary by construction, so the result
-    skips the norm check; the norm is preserved to rounding (exactly,
-    without H).  Raises on any qubit index outside the state's register.
+    permutation of the amplitudes and applied as a gather, a row of at most
+    ``_GATHER_ENTRIES`` amplitudes at a time, so a run's peak is its output
+    plus one row's index (and sign mask); each H is a pass over its qubit's
+    axis.  Unitary by construction, so the result skips the norm check; the
+    norm is preserved to rounding (exactly, without H).  Raises on any qubit
+    index outside the state's register.
     """
     n = state.num_qubits
     if isinstance(op, Gate):

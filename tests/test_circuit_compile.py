@@ -4,28 +4,37 @@
 of X, Y, Z and CNOT were compiled into one signed permutation.  Phases are
 exact multiples of +-1 and +-i, so the compiled result must equal the loop's
 with ``==``: only the sign of a zero may differ, which ``==`` ignores.
+``circuit_oracle.full_table_run`` applies a compiled run through the whole
+2^n index and sign mask, as ``apply`` did before it gathered a row of at
+most ``_GATHER_ENTRIES`` amplitudes at a time; the row-by-row run must
+carry its bytes, signed zeros included, and its peak is its output plus
+one row's buffers.
 ``trusted_oracle`` builds records and Bloch states through the public,
 checked constructors.  Trusted results must pass those constructors' checks
 (their invariants hold by construction), be read-only and alias nothing.
 """
 
 import math
+import tracemalloc
+from itertools import groupby
 
 import numpy as np
 import pytest
 
 import circuit_oracle
 import trusted_oracle
-from decohere import cli, redundancy
+from decohere import circuits, cli, redundancy
 from decohere.circuits import (
     Circuit,
     Gate,
     GateKind,
     _compile_run,
     apply,
+    cnot,
     decoherence_chain,
     noise_chain,
     premeasurement,
+    z,
 )
 from decohere.cli import ExperimentConfig, run
 from decohere.redundancy import EnvironmentRecord, JointState, environment_record
@@ -261,3 +270,80 @@ def test_cli_artifacts_byte_identical_to_checked_paths(tmp_path, monkeypatch, ca
     monkeypatch.setattr(cli, "bloch_state", trusted_oracle.bloch_state)
     want = _artifact(tmp_path, "checked", experiment, params, fmt)
     assert got == want
+
+
+# --- row-by-row gathers ------------------------------------------------------------
+
+KB = 2**10
+PAULI_CNOT = (GateKind.PAULI_X, GateKind.PAULI_Y, GateKind.PAULI_Z, GateKind.CNOT)
+
+
+def _row_entries(n: int, rows: str) -> int:
+    return {"entry": 1, "two entries": 3, "sqrt": 2 ** (n // 2), "half": 2 ** (n - 1), "table": 2**n}[rows]
+
+
+def _with_zeros(state: PureState) -> PureState:
+    """The state with about half its amplitudes exactly zero, so that signed zeros show."""
+    amps = state.amplitudes.copy()
+    amps[RNG.random(amps.size) < 0.5] = 0.0
+    amps[0] = 1.0
+    return PureState(amps / np.linalg.norm(amps), state.num_qubits)
+
+
+@pytest.mark.parametrize("rows", ["entry", "two entries", "sqrt", "half", "table"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_row_runs_equal_full_table_bytes(monkeypatch, n, rows):
+    """Rows of 1, 2 (from 3), 2^(n/2), 2^(n-1) and 2^n amplitudes; all five kinds, signs, +-i phases.
+
+    Rows only split a register of more than ``_GATHER_ENTRIES`` amplitudes,
+    so the row is shrunk here on small registers, odd n and n = 1 included.
+    """
+    # On a qubit of the first row and on one that picks the row: -i (Y), +i (ZY), -1 (ZX), signs only (Z).
+    circs = [Circuit(tuple(Gate(GateKind(k), t) for k in kinds), n)
+             for kinds in ("Y", "ZY", "ZX", "Z") for t in {0, n - 1}]
+    circs += [_random_circuit(n, count) for count in (1, 5, 12, 40)]
+    circs += [_random_circuit(n, count, PAULI_CNOT) for count in (1, 2, 3, 7, 30, 200)]
+    runs = [_compile_run(tuple(run), n) for circ in circs
+            for is_h, run in groupby(circ.gates, key=lambda g: g.kind is GateKind.HADAMARD) if not is_h]
+    identity = [1 << (n - 1 - q) for q in range(n)]
+    assert {c for _, _, _, c in runs} == {0, 1, 2, 3}
+    assert any(s for _, _, s, _ in runs)
+    assert {bool(b or cols != identity) for cols, b, _, _ in runs} == {False, True}
+    monkeypatch.setattr(circuits, "_GATHER_ENTRIES", _row_entries(n, rows))
+    state = _random_pure(n)
+    for psi in (state, _with_zeros(state)):
+        for circ in circs:
+            got = apply(psi, circ).amplitudes
+            with monkeypatch.context() as m:
+                m.setattr(circuits, "_apply_run", circuit_oracle.full_table_run)
+                full = apply(psi, circ).amplitudes
+            assert got.tobytes() == full.tobytes()
+            assert np.array_equal(got, circuit_oracle.apply(psi, circ).amplitudes)
+
+
+def _peak_bytes(fn):
+    """Peak traced allocation above the starting level while ``fn`` runs (numpy included)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("run", ["cnot", "z-sign", "z-only"])
+def test_run_peak_is_output_plus_one_row(run):
+    """18 qubits, several rows.  The full index alone would add 2 MB, its sign mask 256 KB."""
+    n = 18
+    state, _, apparatus, env = _bench_request(n)
+    circ, row_bytes = {
+        "cnot": (decoherence_chain(apparatus, env, width=n), 8),
+        "z-sign": (Circuit(tuple(g for e in env for g in (z(e), cnot(apparatus, e))), n), 8 + 1),
+        "z-only": (Circuit(tuple(z(e) for e in env), n), 1),
+    }[run]
+    got, peak = _peak_bytes(lambda: apply(state, circ))
+    assert peak <= got.amplitudes.nbytes + circuits._GATHER_ENTRIES * row_bytes + 64 * KB
+    assert np.array_equal(got.amplitudes, circuit_oracle.apply(state, circ).amplitudes)
