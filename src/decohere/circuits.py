@@ -15,9 +15,9 @@ at a time.  A row's index (and its sign mask, if any) is XOR-ed in one
 reused buffer from a table of the row's own qubits and one of the rest, so
 a run holds its output and one row's index, never a 2^n table; ``take``
 runs in clip mode, which writes into the output unbuffered.  An H breaks a
-run and is applied as one pass over its qubit's axis.  The phases are
-exact, so the result equals gate-by-gate application exactly (up to the
-sign of zeros).
+run and is applied in place over its qubit's axis, with one half-register
+temporary.  The phases are exact, so the result equals gate-by-gate
+application exactly (up to the sign of zeros).
 """
 
 from __future__ import annotations
@@ -230,9 +230,18 @@ def _apply_run(amps: np.ndarray, gates: Sequence[Gate], width: int) -> np.ndarra
 
 
 def _apply_hadamard(amps: np.ndarray, target: int) -> np.ndarray:
+    """H on ``target`` in place: (lo, hi) <- ((lo + hi) / sqrt 2, (lo - hi) / sqrt 2).
+
+    lo - hi is the one half-register temporary; both halves are then
+    updated in place with the same operations, so the bits are those of
+    the two expressions.
+    """
     pair = amps.reshape(2**target, 2, -1)
     lo, hi = pair[:, 0], pair[:, 1]
-    pair[:, 0], pair[:, 1] = (lo + hi) * _SQRT_HALF, (lo - hi) * _SQRT_HALF
+    diff = lo - hi
+    lo += hi
+    lo *= _SQRT_HALF
+    np.multiply(diff, _SQRT_HALF, out=hi)
     return amps
 
 
@@ -242,9 +251,10 @@ def apply(state: PureState, op: Union[Gate, Circuit]) -> PureState:
     Each maximal run of X, Y, Z and CNOT gates is compiled into one signed
     permutation of the amplitudes and applied as a gather, a row of at most
     ``_GATHER_ENTRIES`` amplitudes at a time, so a run's peak is its output
-    plus one row's index (and sign mask); each H is a pass over its qubit's
-    axis.  Unitary by construction, so the result skips the norm check; the
-    norm is preserved to rounding (exactly, without H).  Raises on any qubit
+    plus one row's index (and sign mask); each H is an in-place pass over
+    its qubit's axis, whose peak is its output plus half the register.
+    Unitary by construction, so the result skips the norm check; the norm
+    is preserved to rounding (exactly, without H).  Raises on any qubit
     index outside the state's register.
     """
     n = state.num_qubits

@@ -22,8 +22,10 @@ prefix products, which yields the k states of the chunk.
 Entropies come from the spectrum of each sampled state.  A qubit's spectrum
 follows from its purity alone: lambda+ = (1 + sqrt(2P - 1)) / 2 and
 lambda- = det / lambda+ with det = (1 - P) / 2, which avoids the
-cancellation in (1 - sqrt(2P - 1)) / 2.  Larger registers take ``eigvalsh``
-once per block.
+cancellation in (1 - sqrt(2P - 1)) / 2.  Both are formed in place, and
+the entropy terms in the same arrays; lambda+ >= 1/2 by construction, so
+only lambda- is checked for positivity and cut at 1e-12.  Larger registers
+take ``eigvalsh`` once per block.
 
 Two horizons are computed from a trajectory by trapezoid quadrature:
 
@@ -37,6 +39,12 @@ P_eq is the register's equilibrium purity floor 2**-n (the all-outcomes-
 equally-likely reference), which makes channel fixed points score a
 cap-growing horizon instead of zero and keeps the ranking comparable
 across candidates.
+
+The quadrature scales each pair sum y_i + y_(i+1) by the half interval
+(t_(i+1) - t_i) / 2, formed once per request.  ``np.trapezoid`` forms
+(t_(i+1) - t_i) (y_i + y_(i+1)) / 2 instead.  Halving a double is exact
+unless the product is subnormal (below about 2e-308), so the two agree bit
+for bit on any practical grid.
 """
 
 from __future__ import annotations
@@ -50,8 +58,10 @@ import numpy as np
 from .dephasing import DephasingChannel, _in_pointer_frame, _pointer_coefficients
 from .states import (
     DensityMatrix,
+    EIGENVALUE_FLOOR,
     HERMITICITY_TOL,
     PureState,
+    SPECTRUM_CUTOFF,
     _entropies_from_spectra,
     _hermiticity_defect,
     _integer,
@@ -168,21 +178,52 @@ class Horizon:
 
 
 def _check_entropy_range(entropies: np.ndarray, num_qubits: int) -> None:
+    # A NaN is its array's min and max, so it fails; initial=0.0 passes an empty record.
     _require(
-        np.all((entropies >= -1e-9) & (entropies <= num_qubits + 1e-9)),
+        entropies.min(initial=0.0) >= -1e-9 and entropies.max(initial=0.0) <= num_qubits + 1e-9,
         "entropy values outside [0, num_qubits]",
     )
 
 
 def _qubit_spectra(purities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (lambda-, lambda+) of 2x2 density matrices from their purities."""
-    upper = np.sqrt(np.maximum(2.0 * purities - 1.0, 0.0))
+    lower, upper = np.empty_like(purities), np.empty_like(purities)
+    np.multiply(purities, 2.0, out=upper)
+    upper -= 1.0
+    np.maximum(upper, 0.0, out=upper)
+    np.sqrt(upper, out=upper)
     upper += 1.0
     upper *= 0.5
-    lower = 1.0 - purities
+    np.subtract(1.0, purities, out=lower)
     lower *= 0.5
     lower /= upper
     return lower, upper
+
+
+def _qubit_entropies(purities: np.ndarray) -> np.ndarray:
+    """Entropies in bits of 2x2 density matrices from their purities.
+
+    The same bits as ``_entropies_from_spectra`` of ``_qubit_spectra``, with
+    less work: lambda+ >= 1/2 by construction, so only lambda- is checked
+    for positivity and cut at 1e-12, and the terms are formed in the
+    spectrum's own arrays.  A NaN purity makes both eigenvalues NaN and
+    fails the check.
+    """
+    lower, upper = _qubit_spectra(purities)
+    low = lower.min()
+    _require(low >= EIGENVALUE_FLOOR, "evolved state lost positivity: eigenvalue {!r}", float(low))
+    total = np.log2(upper)
+    total *= upper
+    # lambda- log2 lambda-, with weights at or below the cutoff counted as 0
+    kept = lower > SPECTRUM_CUTOFF
+    upper.fill(0.0)
+    np.log2(lower, out=upper, where=kept)
+    upper *= lower
+    # (0 - a) - b as _entropies_from_spectra forms it: -a - b is -0 where a and
+    # b are +0, and which zero np.maximum then keeps is left to its SIMD loop.
+    np.subtract(0.0, upper, out=upper)
+    np.subtract(upper, total, out=total)
+    return np.maximum(total, 0.0, out=total)
 
 
 def _pointer_frames(states: Sequence[PureState], channel: DephasingChannel) -> np.ndarray:
@@ -327,10 +368,9 @@ def _evolve_block(
         purities, states = _split_step(frames, dynamics, times)
         equilibrium = None
     if d == 2:
-        spectra = _qubit_spectra(purities)
+        entropies = _qubit_entropies(purities)
     else:
-        spectra = np.moveaxis(np.linalg.eigvalsh(states), -1, 0)
-    entropies = _entropies_from_spectra(spectra)
+        entropies = _entropies_from_spectra(np.moveaxis(np.linalg.eigvalsh(states), -1, 0))
     _check_entropy_range(entropies, d.bit_length() - 1)
     if equilibrium is None:
         equilibrium = entropies[:, -1]
@@ -365,24 +405,38 @@ def evolve_entropy(
     )
 
 
+def _trapezoid(y: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Trapezoid rule along the trailing axis, ``half`` = diff(times) / 2.
+
+    np.trapezoid forms diff(times) * (y[1:] + y[:-1]) / 2 on every call.
+    Halving a double is exact unless the product is subnormal, so scaling
+    the sums by the halved intervals gives the same bits, and a caller
+    forms ``half`` once for all its rows.
+    """
+    sums = np.add(y[..., 1:], y[..., :-1])
+    sums *= half
+    return sums.sum(axis=-1)
+
+
 def _entropy_horizons(
-    times: np.ndarray, entropies: np.ndarray, equilibrium: np.ndarray
+    times: np.ndarray, half: np.ndarray, entropies: np.ndarray, equilibrium: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entropy horizons and cap flags along the trailing time axis."""
     h0 = entropies[..., 0]
     degenerate = equilibrium <= h0 + DEGENERATE_GAP
     gap = np.where(degenerate, 1.0, equilibrium - h0)
-    integrand = (equilibrium[..., None] - entropies) / gap[..., None]
-    values = np.where(degenerate, times[-1], np.trapezoid(integrand, times, axis=-1))
+    integrand = np.subtract(equilibrium[..., None], entropies)
+    integrand /= gap[..., None]
+    values = np.where(degenerate, times[-1], _trapezoid(integrand, half))
     return values, degenerate | (integrand[..., -1] > ENTROPY_CAP_THRESHOLD)
 
 
 def _purity_horizons(
-    times: np.ndarray, purities: np.ndarray, floor: float
+    half: np.ndarray, purities: np.ndarray, floor: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Purity horizons and cap flags along the trailing time axis."""
     integrand = purities - floor
-    values = np.maximum(np.trapezoid(integrand, times, axis=-1), 0.0)
+    values = np.maximum(_trapezoid(integrand, half), 0.0)
     return values, integrand[..., -1] > PURITY_CAP_THRESHOLD
 
 
@@ -393,8 +447,9 @@ def predictability_horizon(trajectory: EntropyTrajectory) -> Horizon:
     above 0.5 at the end of the window returns a capped horizon whose value
     is the window length itself.
     """
+    times = trajectory.times
     value, capped = _entropy_horizons(
-        trajectory.times, trajectory.entropies, np.asarray(trajectory.equilibrium_entropy)
+        times, np.diff(times) / 2, trajectory.entropies, np.asarray(trajectory.equilibrium_entropy)
     )
     return Horizon(float(value), bool(capped))
 
@@ -402,7 +457,7 @@ def predictability_horizon(trajectory: EntropyTrajectory) -> Horizon:
 def purity_horizon(trajectory: EntropyTrajectory) -> Horizon:
     """Integrated excess purity above the equilibrium floor."""
     value, capped = _purity_horizons(
-        trajectory.times, trajectory.purities, trajectory.equilibrium_purity
+        np.diff(trajectory.times) / 2, trajectory.purities, trajectory.equilibrium_purity
     )
     return Horizon(float(value), bool(capped))
 
@@ -472,23 +527,27 @@ def sieve_rank(
         if values is not None and len(values) != count:
             raise ValueError(f"{name} has {len(values)} entries for {count} candidates")
     times = dynamics.recorded_times()
+    half = np.diff(times) / 2
     floor = 1.0 / dynamics.channel.dim
     reports: list[SieveReport] = []
     for start in range(0, count, BLOCK_SIZE):
         frames = _pointer_frames(candidates[start : start + BLOCK_SIZE], dynamics.channel)
         purities, entropies, equilibrium = _evolve_block(frames, dynamics, times)
-        t_p, t_p_capped = _entropy_horizons(times, entropies, equilibrium)
-        t_pp, t_pp_capped = _purity_horizons(times, purities, floor)
-        for k in range(frames.shape[0]):
-            idx = start + k
+        t_p, t_p_capped = _entropy_horizons(times, half, entropies, equilibrium)
+        t_pp, t_pp_capped = _purity_horizons(half, purities, floor)
+        columns = zip(
+            t_p.tolist(), t_p_capped.tolist(), t_pp.tolist(), t_pp_capped.tolist(),
+            entropies[:, -1].tolist(),
+        )
+        for idx, (tp, tp_capped, tpp, tpp_capped, final) in enumerate(columns, start):
             theta, phi = (angles[idx] if angles is not None else (None, None))
             reports.append(SieveReport(
                 label=labels[idx] if labels is not None else f"candidate-{idx}",
-                t_p=float(t_p[k]),
-                t_p_capped=bool(t_p_capped[k]),
-                tprime_p=float(t_pp[k]),
-                tprime_capped=bool(t_pp_capped[k]),
-                final_entropy=float(entropies[k, -1]),
+                t_p=tp,
+                t_p_capped=tp_capped,
+                tprime_p=tpp,
+                tprime_capped=tpp_capped,
+                final_entropy=final,
                 theta=theta,
                 phi=phi,
             ))

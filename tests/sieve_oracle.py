@@ -11,6 +11,12 @@ propagation: one (B, d^2) @ (d^2, d^2) product per recorded interval.  It
 takes the Hamiltonian into the pointer frame as the sieve does, so that it
 isolates the propagation; ``frame_oracle.step_maps`` keeps the step maps
 as they were formed before, from W^H times the eigenvectors of H.
+
+The ``block_*`` functions are the block evaluation as it was before the
+qubit entropies were formed in one buffer and the horizons shared their
+halved intervals: ``np.trapezoid`` per horizon, the generic spectrum
+entropy on both qubit eigenvalues, and a numpy scalar per report field.
+The block sieve must keep their bits exactly, signed zeros included.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 
 from decohere.dephasing import _in_pointer_frame
 from decohere.sieve import (
+    BLOCK_SIZE,
     DEGENERATE_GAP,
     ENTROPY_CAP_THRESHOLD,
     PURITY_CAP_THRESHOLD,
@@ -29,8 +36,17 @@ from decohere.sieve import (
     EntropyTrajectory,
     Horizon,
     SieveReport,
+    _pointer_frames,
+    _split_step,
 )
-from decohere.states import EIGENVALUE_FLOOR, SPECTRUM_CUTOFF, DensityMatrix, PureState
+from decohere.states import (
+    EIGENVALUE_FLOOR,
+    SPECTRUM_CUTOFF,
+    DensityMatrix,
+    PureState,
+    _entropies_from_spectra,
+    _require,
+)
 
 
 def _entropy_bits(eigenvalues: np.ndarray) -> float:
@@ -212,3 +228,140 @@ def sieve_rank(
         reports.append((-t_pp.value, traj.final_entropy, idx, report))
     reports.sort(key=lambda item: item[:3])
     return [item[3] for item in reports]
+
+
+def _check_entropy_range(entropies: np.ndarray, num_qubits: int) -> None:
+    _require(
+        np.all((entropies >= -1e-9) & (entropies <= num_qubits + 1e-9)),
+        "entropy values outside [0, num_qubits]",
+    )
+
+
+def block_qubit_spectra(purities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (lambda-, lambda+) of 2x2 density matrices from their purities."""
+    upper = np.sqrt(np.maximum(2.0 * purities - 1.0, 0.0))
+    upper += 1.0
+    upper *= 0.5
+    lower = 1.0 - purities
+    lower *= 0.5
+    lower /= upper
+    return lower, upper
+
+
+def block_evolve(
+    frames: np.ndarray, dynamics: DynamicsSpec, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Purities (B, T), entropies (B, T) and equilibrium entropies (B,)."""
+    d = frames.shape[1]
+    t_d = dynamics.channel.t_d
+    off_diag = 1.0 - np.eye(d)
+    if dynamics.self_hamiltonian is None:
+        populations = np.diagonal(frames, axis1=1, axis2=2).real
+        coherence = np.sum(np.abs(frames) ** 2 * off_diag, axis=(1, 2))
+        purities = (
+            np.sum(populations**2, axis=1)[:, None]
+            + coherence[:, None] * np.exp(-2.0 * times / t_d)
+        )
+        equilibrium = _entropies_from_spectra(populations.T)
+        states = None
+        if d > 2:
+            states = frames[:, None] * (np.exp(-times / t_d)[:, None, None] * off_diag + np.eye(d))
+    else:
+        purities, states = _split_step(frames, dynamics, times)
+        equilibrium = None
+    if d == 2:
+        spectra = block_qubit_spectra(purities)
+    else:
+        spectra = np.moveaxis(np.linalg.eigvalsh(states), -1, 0)
+    entropies = _entropies_from_spectra(spectra)
+    _check_entropy_range(entropies, d.bit_length() - 1)
+    if equilibrium is None:
+        equilibrium = entropies[:, -1]
+    return purities, entropies, equilibrium
+
+
+def block_evolve_entropy(
+    state: Union[PureState, DensityMatrix], dynamics: DynamicsSpec
+) -> EntropyTrajectory:
+    channel = dynamics.channel
+    if isinstance(state, PureState):
+        frames = _pointer_frames([state], channel)
+    else:
+        frames = _in_pointer_frame(channel._frame_key, state.elements)[None]
+    times = dynamics.recorded_times()
+    purities, entropies, equilibrium = block_evolve(frames, dynamics, times)
+    return EntropyTrajectory(
+        times=times,
+        entropies=entropies[0],
+        purities=purities[0],
+        equilibrium_entropy=float(equilibrium[0]),
+        num_qubits=state.num_qubits,
+    )
+
+
+def _block_entropy_horizons(
+    times: np.ndarray, entropies: np.ndarray, equilibrium: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    h0 = entropies[..., 0]
+    degenerate = equilibrium <= h0 + DEGENERATE_GAP
+    gap = np.where(degenerate, 1.0, equilibrium - h0)
+    integrand = (equilibrium[..., None] - entropies) / gap[..., None]
+    values = np.where(degenerate, times[-1], np.trapezoid(integrand, times, axis=-1))
+    return values, degenerate | (integrand[..., -1] > ENTROPY_CAP_THRESHOLD)
+
+
+def _block_purity_horizons(
+    times: np.ndarray, purities: np.ndarray, floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    integrand = purities - floor
+    values = np.maximum(np.trapezoid(integrand, times, axis=-1), 0.0)
+    return values, integrand[..., -1] > PURITY_CAP_THRESHOLD
+
+
+def block_predictability_horizon(trajectory: EntropyTrajectory) -> Horizon:
+    value, capped = _block_entropy_horizons(
+        trajectory.times, trajectory.entropies, np.asarray(trajectory.equilibrium_entropy)
+    )
+    return Horizon(float(value), bool(capped))
+
+
+def block_purity_horizon(trajectory: EntropyTrajectory) -> Horizon:
+    value, capped = _block_purity_horizons(
+        trajectory.times, trajectory.purities, trajectory.equilibrium_purity
+    )
+    return Horizon(float(value), bool(capped))
+
+
+def block_sieve_rank(
+    candidates: Sequence[PureState],
+    dynamics: DynamicsSpec,
+    labels: Optional[Sequence[str]] = None,
+    angles: Optional[Sequence[tuple[float, float]]] = None,
+) -> list[SieveReport]:
+    count = len(candidates)
+    times = dynamics.recorded_times()
+    floor = 1.0 / dynamics.channel.dim
+    reports: list[SieveReport] = []
+    for start in range(0, count, BLOCK_SIZE):
+        frames = _pointer_frames(candidates[start : start + BLOCK_SIZE], dynamics.channel)
+        purities, entropies, equilibrium = block_evolve(frames, dynamics, times)
+        t_p, t_p_capped = _block_entropy_horizons(times, entropies, equilibrium)
+        t_pp, t_pp_capped = _block_purity_horizons(times, purities, floor)
+        for k in range(frames.shape[0]):
+            idx = start + k
+            theta, phi = (angles[idx] if angles is not None else (None, None))
+            reports.append(SieveReport(
+                label=labels[idx] if labels is not None else f"candidate-{idx}",
+                t_p=float(t_p[k]),
+                t_p_capped=bool(t_p_capped[k]),
+                tprime_p=float(t_pp[k]),
+                tprime_capped=bool(t_pp_capped[k]),
+                final_entropy=float(entropies[k, -1]),
+                theta=theta,
+                phi=phi,
+            ))
+    mantissa, exponent = np.frexp([r.tprime_p for r in reports])
+    horizon_keys = np.ldexp(np.round(mantissa * 2**30), exponent - 30)
+    entropy_keys = np.round([r.final_entropy for r in reports], 9)
+    order = np.lexsort((np.arange(count), entropy_keys, -horizon_keys))
+    return [reports[i] for i in order.tolist()]

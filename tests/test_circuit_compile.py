@@ -8,7 +8,8 @@ with ``==``: only the sign of a zero may differ, which ``==`` ignores.
 2^n index and sign mask, as ``apply`` did before it gathered a row of at
 most ``_GATHER_ENTRIES`` amplitudes at a time; the row-by-row run must
 carry its bytes, signed zeros included, and its peak is its output plus
-one row's buffers.
+one row's buffers.  An H is applied in place and must carry the bytes of
+(lo + hi) / sqrt 2 and (lo - hi) / sqrt 2, as the loop forms them.
 ``trusted_oracle`` builds records and Bloch states through the public,
 checked constructors.  Trusted results must pass those constructors' checks
 (their invariants hold by construction), be read-only and alias nothing.
@@ -32,6 +33,7 @@ from decohere.circuits import (
     apply,
     cnot,
     decoherence_chain,
+    h,
     noise_chain,
     premeasurement,
     z,
@@ -347,3 +349,32 @@ def test_run_peak_is_output_plus_one_row(run):
     got, peak = _peak_bytes(lambda: apply(state, circ))
     assert peak <= got.amplitudes.nbytes + circuits._GATHER_ENTRIES * row_bytes + 64 * KB
     assert np.array_equal(got.amplitudes, circuit_oracle.apply(state, circ).amplitudes)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hadamard_in_place_keeps_loop_bytes(n):
+    """Every target, one H and H on every qubit; dense and with signed zeros."""
+    state = _random_pure(n)
+    ops = [h(t) for t in range(n)] + [Circuit(tuple(h(t) for t in range(n)), n)]
+    for psi in (state, _with_zeros(state)):
+        for op in ops:
+            got = apply(psi, op).amplitudes
+            assert got.tobytes() == circuit_oracle.apply(psi, op).amplitudes.tobytes()
+        assert not psi.amplitudes.flags.writeable
+
+
+@pytest.mark.parametrize("target", [0, 9, 17])
+def test_hadamard_peak_is_output_plus_half_register(target):
+    """18 qubits.  Before, (lo + hi) and (lo - hi) and their scaled copies peaked a full register above the output.
+
+    At targets 0 and 17 both halves are 1-D views.  In between they are 2-D
+    strided views, and numpy's ufunc iterator adds its buffers (at most three
+    of ``getbufsize()`` entries, whatever the register size).
+    """
+    n = 18
+    state = _random_pure(n)
+    got, peak = _peak_bytes(lambda: apply(state, h(target)))
+    out = got.amplitudes.nbytes
+    buffers = 0 if target in (0, n - 1) else 3 * np.getbufsize() * got.amplitudes.itemsize
+    assert peak <= out + out // 2 + buffers + 64 * KB
+    assert got.amplitudes.tobytes() == circuit_oracle.apply(state, h(target)).amplitudes.tobytes()

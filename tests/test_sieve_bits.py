@@ -1,0 +1,223 @@
+"""The sieve's qubit blocks and horizons against the block code they replace, bit for bit.
+
+``sieve_oracle.block_*`` is the block evaluation as it was before the
+qubit entropies were formed in one buffer and the two horizons shared one
+halved-interval array: ``np.trapezoid`` per horizon, the generic spectrum
+entropy over both qubit eigenvalues, a numpy scalar per report field.
+Nothing may move, not even the sign of a zero: reports, trajectories and
+horizons must be ``tobytes()``-equal.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import sieve_oracle
+from decohere import sieve
+from decohere.dephasing import DephasingChannel
+from decohere.sieve import (
+    BLOCK_SIZE,
+    DynamicsSpec,
+    EntropyTrajectory,
+    bloch_grid,
+    bloch_state,
+    evolve_entropy,
+    predictability_horizon,
+    purity_horizon,
+    sieve_rank,
+    uniform_grid,
+)
+from decohere.states import DensityMatrix, PureState
+
+RNG = np.random.default_rng(2323)
+KINDS = ("computational", "hadamard", "dense")
+# The grid ends at 10; a cap of 12.03 continues it at its spacing and ends
+# on a shorter interval.
+GRIDS = {"cap at grid": 10.0, "cap past grid": 12.03}
+REPORT_FLOATS = ("t_p", "tprime_p", "final_entropy")
+REPORT_FIELDS = ("label", "t_p_capped", "tprime_capped", "theta", "phi")
+
+
+def _random_unitary(d: int) -> np.ndarray:
+    q, r = np.linalg.qr(RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _random_hermitian(d: int) -> np.ndarray:
+    a = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
+    return (a + a.conj().T) / 2.0
+
+
+def _channel(kind: str, num_qubits: int, t_d: float) -> DephasingChannel:
+    if kind == "dense":
+        return DephasingChannel(_random_unitary(2**num_qubits), t_d)
+    return getattr(DephasingChannel, kind)(num_qubits, t_d)
+
+
+def _dynamics(kind: str, num_qubits: int, split: bool, cap: float) -> DynamicsSpec:
+    channel = _channel(kind, num_qubits, float(RNG.uniform(0.5, 2.0)))
+    ham = _random_hermitian(2**num_qubits) if split else None
+    return DynamicsSpec(channel, uniform_grid(10.0, 200), cap, self_hamiltonian=ham)
+
+
+def _candidates(num_qubits: int, channel: DephasingChannel):
+    """Qubits: a Bloch grid with both poles.  Two qubits: the pointer states and random states."""
+    if num_qubits == 1:
+        angles = bloch_grid(6, 8)
+        return [bloch_state(t, p) for t, p in angles], angles
+    pointers = [PureState(channel.basis[:, k], 2) for k in range(4)]
+    states = []
+    for _ in range(BLOCK_SIZE + 3):
+        amps = RNG.normal(size=4) + 1j * RNG.normal(size=4)
+        states.append(PureState(amps / np.linalg.norm(amps), 2))
+    return pointers + [PureState.basis(2, k) for k in range(4)] + states, None
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _assert_same_trajectory(got: EntropyTrajectory, want: EntropyTrajectory) -> None:
+    for name in ("times", "entropies", "purities"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert _bits(got.equilibrium_entropy) == _bits(want.equilibrium_entropy)
+    assert got.num_qubits == want.num_qubits
+
+
+def _assert_same_horizons(traj: EntropyTrajectory) -> None:
+    for new, old in ((predictability_horizon, sieve_oracle.block_predictability_horizon),
+                     (purity_horizon, sieve_oracle.block_purity_horizon)):
+        got, want = new(traj), old(traj)
+        assert _bits(got.value) == _bits(want.value)
+        assert got.capped is want.capped
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("split", [False, True], ids=["closed", "split"])
+@pytest.mark.parametrize("num_qubits", [1, 2])
+@pytest.mark.parametrize("kind", KINDS)
+def test_sieve_rank_keeps_block_bits(kind, num_qubits, split, grid):
+    dynamics = _dynamics(kind, num_qubits, split, GRIDS[grid])
+    candidates, angles = _candidates(num_qubits, dynamics.channel)
+    assert len(candidates) % BLOCK_SIZE  # a short last block
+    got = sieve_rank(candidates, dynamics, angles=angles)
+    want = sieve_oracle.block_sieve_rank(candidates, dynamics, angles=angles)
+    for name in REPORT_FLOATS:
+        floats = [[getattr(r, name) for r in reports] for reports in (got, want)]
+        assert _bits(floats[0]) == _bits(floats[1]), name
+    for name in REPORT_FIELDS:
+        assert [getattr(r, name) for r in got] == [getattr(r, name) for r in want], name
+    assert all(type(getattr(r, name)) is float for r in got for name in REPORT_FLOATS)
+    assert all(type(r.t_p_capped) is type(r.tprime_capped) is bool for r in got)
+    if not split and kind == "computational":
+        # Poles and basis states are pointer states here: entropy exactly 0 at every time.
+        assert any(r.final_entropy == 0.0 for r in got)
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("split", [False, True], ids=["closed", "split"])
+@pytest.mark.parametrize("num_qubits", [1, 2])
+@pytest.mark.parametrize("kind", KINDS)
+def test_trajectories_and_horizons_keep_block_bits(kind, num_qubits, split, grid):
+    dynamics = _dynamics(kind, num_qubits, split, GRIDS[grid])
+    candidates, _ = _candidates(num_qubits, dynamics.channel)
+    rho = DensityMatrix(
+        0.6 * candidates[-1].to_density_matrix().elements
+        + 0.4 * candidates[-2].to_density_matrix().elements,
+        num_qubits,
+    )
+    for state in candidates[:4] + candidates[-3:] + [rho]:
+        got = evolve_entropy(state, dynamics)
+        _assert_same_trajectory(got, sieve_oracle.block_evolve_entropy(state, dynamics))
+        _assert_same_horizons(got)
+    if grid == "cap past grid":
+        steps = np.diff(got.times)
+        assert steps[-1] < steps[-2] - 1e-9
+
+
+def test_signed_zeros_reach_the_horizons():
+    """A pole's entropies are all exactly 0; hand-made records carry -0.0 and a degenerate gap."""
+    dynamics = DynamicsSpec(DephasingChannel.computational(1, 1.0), uniform_grid(10.0, 200), 12.03)
+    pole = evolve_entropy(bloch_state(0.0, 0.0), dynamics)
+    assert not np.any(pole.entropies)
+    _assert_same_horizons(pole)
+    times = np.linspace(0.0, 1.0, 11)
+    for entropies, equilibrium in (
+        (np.where(times > 0, 1.0, -0.0), 1.0),
+        (np.zeros_like(times), 0.0),
+        (np.full_like(times, -0.0), 1.0),
+    ):
+        purities = np.where(times > 0, 0.5, 1.0)
+        for pur in (purities, np.full_like(times, 0.5)):
+            _assert_same_horizons(EntropyTrajectory(times, entropies, pur, equilibrium, 1))
+
+
+@pytest.mark.parametrize(
+    "purities",
+    [[1.0 + 1e-7], [0.75, 1.0 + 1e-7], [math.nan], [0.75, math.nan]],
+    ids=["negative", "negative-among", "nan", "nan-among"],
+)
+def test_qubit_entropies_refuse_what_the_spectrum_path_refused(purities):
+    purities = np.array([purities, purities])
+    with pytest.raises(ValueError, match="lost positivity") as new:
+        sieve._qubit_entropies(purities)
+    with pytest.raises(ValueError, match="lost positivity") as old:
+        sieve._entropies_from_spectra(sieve_oracle.block_qubit_spectra(purities))
+    assert str(new.value) == str(old.value)
+
+
+def test_qubit_entropies_keep_the_edges():
+    """Purities 1/2 and 1 and near them: lambda- is 0, tiny, cut or a rounding negative."""
+    edges = np.array(
+        [0.5, 0.5 + 1e-17, 1.0 - 1e-15, 1.0 - 1e-12, 1.0 - 2e-12, 1.0, 1.0 + 1e-16, 1.0 + 1e-9]
+    )
+    purities = np.stack([edges, edges[::-1]])
+    want = sieve._entropies_from_spectra(sieve_oracle.block_qubit_spectra(purities))
+    assert sieve._qubit_entropies(purities).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "entropies",
+    [[0.0, 1.0], [-0.0], [-1e-9], [-2e-9], [1.0 + 1e-9], [1.0 + 2e-9], [math.nan], [0.5, math.inf], []],
+)
+def test_entropy_range_check_accepts_what_it_accepted(entropies):
+    entropies = np.array(entropies, dtype=float)
+    try:
+        sieve_oracle._check_entropy_range(entropies, 1)
+    except ValueError:
+        with pytest.raises(ValueError, match="entropy values outside"):
+            sieve._check_entropy_range(entropies, 1)
+    else:
+        sieve._check_entropy_range(entropies, 1)
+
+
+def _peak_above_result(fn):
+    """Peak traced allocation above what ``fn``'s result keeps, and the result's own bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - kept, kept - base
+
+
+@pytest.mark.parametrize("kind", ["computational", "hadamard"])
+def test_closed_form_grid_peak(kind):
+    """36 x 36 closed form, 501 samples: the reports plus at most seven (BLOCK_SIZE, T) arrays.
+
+    The block code before this read 8.2 such arrays (0.90 MB in all, the
+    reports 0.38 MB of it); the present one reads 6.2 (0.78 MB).
+    """
+    angles = bloch_grid(36, 36)
+    candidates = [bloch_state(t, p) for t, p in angles]
+    dynamics = DynamicsSpec(getattr(DephasingChannel, kind)(1, 1.0), uniform_grid(50.0, 500), 50.0)
+    block_bytes = BLOCK_SIZE * dynamics.recorded_times().size * 8
+    reports, transient, kept = _peak_above_result(lambda: sieve_rank(candidates, dynamics, angles=angles))
+    assert len(reports) == len(candidates)
+    assert transient <= 7 * block_bytes
+    assert kept < 1_000_000
