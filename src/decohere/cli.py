@@ -32,8 +32,8 @@ from . import __version__
 from .circuits import apply, decoherence_chain, premeasurement
 from .dephasing import (
     DephasingChannel,
-    _in_pointer_frame,
     _pointer_coefficients,
+    _pointer_weights,
     channel_from_spec,
     decohered_limit,
     dephase,
@@ -582,10 +582,10 @@ def observer_lists(
     p_b1, p_a1 = np.zeros(2), np.zeros(2)
     for label, amplitudes in enumerate(prepared):
         rho = decohered_limit(PureState.from_amplitudes(amplitudes).to_density_matrix(), channel)
-        p_b1[label] = _in_pointer_frame(measure, rho.elements)[1, 1].real
+        p_b1[label] = _pointer_weights(measure, rho)[1]
         # B's readout is environment-mediated, so the state is unchanged;
         # the second bout of decoherence is a no-op on the diagonal state.
-        p_a1[label] = _in_pointer_frame(prepare, rho.elements)[1, 1].real
+        p_a1[label] = _pointer_weights(prepare, rho)[1]
 
     list_a = rng.integers(0, 2, size=ensemble)
     list_b = (rng.random(ensemble) < p_b1[list_a]).astype(int)

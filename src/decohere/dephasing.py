@@ -10,8 +10,10 @@ resolved.
 
 ``decohered_limit`` is the pinching Pi onto the pointer-frame diagonal and
 ``dephase`` is f rho + (1 - f) Pi(rho), f = exp(-t/t_d).  No other module
-applies a frame: the sieve, the records and the CLI go through
-``_pointer_coefficients`` (W^H psi) and ``_in_pointer_frame`` (W^H X W).
+applies a frame: the sieve, the records and the CLI go through three
+helpers, ``_pointer_coefficients`` (the coefficients W^H psi),
+``_in_pointer_frame`` (the frame change W^H X W) and ``_pointer_weights``
+(the weights diag(W^H rho W), |W^H psi|^2 for a pure input).
 
 The two named frames, computational and Hadamard, stay implicit: a channel
 from ``computational``, ``hadamard`` or a named ``channel_from_spec`` holds
@@ -221,6 +223,19 @@ def _in_pointer_frame(frame, mat: np.ndarray) -> np.ndarray:
     """W^H X W for a d x d ``mat``: B = W^H X column by column, then B W = (W^H B^H)^H."""
     half = _pointer_coefficients(frame, mat.T).T
     return _pointer_coefficients(frame, half.conj()).conj()
+
+
+def _pointer_weights(frame, state) -> np.ndarray:
+    """diag(W^H rho W) as a real vector: the weight of each pointer state.
+
+    A pure input (a ``PureState`` or a state from ``to_density_matrix``)
+    is read as |W^H psi|^2 from its amplitudes, with no d x d matrix.
+    """
+    amps = _pure_amplitudes(state)
+    if amps is None:
+        return _in_pointer_frame(frame, state.elements).diagonal().real
+    coeffs = _pointer_coefficients(frame, amps)
+    return (coeffs * coeffs.conj()).real
 
 
 @dataclass(frozen=True, eq=False)

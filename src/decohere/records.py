@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .dephasing import _in_pointer_frame
+from .dephasing import _pointer_weights
 from .probability import UNDEFINED_CONDITIONAL, ProbabilityVector
 from .sieve import DynamicsSpec, Horizon, evolve_entropy, predictability_horizon
 from .states import (
@@ -197,12 +197,6 @@ def _readout_frame(basis: str, name: str) -> str:
     return "hadamard" if basis == "conjugate" else "computational"
 
 
-def _cell_matrices(model: MemoryModel, record_basis: str) -> list[np.ndarray]:
-    """Each outcome's one-cell record, in the frame that ``record_basis`` names."""
-    frame = _readout_frame(record_basis, "record basis")
-    return [_in_pointer_frame(frame, _record_matrix(r)) for r in model.record_states]
-
-
 def branch_count(model: MemoryModel, record_basis: str, cells: int) -> int:
     """Number of branches: record strings that keep weight after the register decoheres.
 
@@ -211,7 +205,10 @@ def branch_count(model: MemoryModel, record_basis: str, cells: int) -> int:
     einselected computational basis.  A branch is a register string in the
     support of sum_i p_i cell_i^(x cells): some outcome i with p_i > 0 has
     every cell of the string in its one-cell support, the basis states
-    whose cell weight exceeds ``RECORD_ORTHOGONALITY_TOL``.  The count is
+    whose cell weight exceeds ``RECORD_ORTHOGONALITY_TOL``.  A cell's
+    weights are the record's readout-frame weights diag(W^H mu W)
+    (``_pointer_weights``; |W^H psi|^2 for a pure record, with no d x d
+    matrix), read only for outcomes of nonzero weight.  The count is
     exact, at any register weight.  Pointer records keep one branch per
     outcome; conjugate records explode into 2^cells branches.  Nothing of
     size 2^cells is built, yet the register keeps the ``MAX_PURE_QUBITS``
@@ -219,12 +216,12 @@ def branch_count(model: MemoryModel, record_basis: str, cells: int) -> int:
     """
     cells = _cell_count(cells)
     _check_register(cells * model.record_qubits, MAX_PURE_QUBITS)
+    frame = _readout_frame(record_basis, "record basis")
     # Each one-cell basis state's mask: the outcomes whose support holds it.
     masks = np.zeros(2**model.record_qubits, dtype=object)
-    cell_mats = _cell_matrices(model, record_basis)
-    for i, (p_i, cell) in enumerate(zip(model.probabilities.values, cell_mats)):
+    for i, (p_i, record) in enumerate(zip(model.probabilities.values, model.record_states)):
         if p_i > 0:
-            masks[cell.diagonal().real > RECORD_ORTHOGONALITY_TOL] += 1 << i
+            masks[_pointer_weights(frame, record) > RECORD_ORTHOGONALITY_TOL] += 1 << i
     groups = Counter(masks.tolist())
     # Strings counted by the outcomes consistent with every cell so far.
     strings = Counter({(1 << model.outcome_count) - 1: 1})
@@ -245,7 +242,8 @@ def record_consensus(model: MemoryModel, cells: int, basis: str) -> float:
     perfect accord; reading them in the conjugate basis scatters the cells
     independently.  The register is sum_i p_i cell_i^(x cells), so the
     all-zeros and all-ones weights are sum_i p_i <e|cell_i|e>^cells over
-    the two readout states e of one cell.
+    the two readout states e of one cell; each record's <e|cell_i|e> are
+    its readout-frame weights (``_pointer_weights``).
     """
     if model.record_qubits != 1:
         raise ValueError("consensus check expects single-qubit record cells")
@@ -253,8 +251,7 @@ def record_consensus(model: MemoryModel, cells: int, basis: str) -> float:
     frame = _readout_frame(basis, "readout basis")
     total = 0.0
     for p_i, record in zip(model.probabilities.values, model.record_states):
-        cell_weights = _in_pointer_frame(frame, _record_matrix(record)).diagonal().real
-        total += p_i * float(np.sum(cell_weights**cells))
+        total += p_i * float(np.sum(_pointer_weights(frame, record) ** cells))
     return total
 
 

@@ -38,7 +38,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dephasing import _pointer_coefficients, _walsh_hadamard
-from .states import PureState, _integer, _norm_sq, _readonly, _require, _trusted, check_qubits
+from .states import (
+    MAX_PURE_QUBITS,
+    PureState,
+    _integer,
+    _norm_sq,
+    _readonly,
+    _require,
+    _trusted,
+    check_qubits,
+)
 
 MAX_SEARCH_QUBITS = 8
 NULL_WEIGHT = 1e-12
@@ -82,8 +91,12 @@ class EnvironmentRecord:
     num_qubits: int
 
     def __post_init__(self) -> None:
+        # Checked before 2^n is formed; 0 is the record of an empty environment.
+        n = _integer(self.num_qubits, "num_qubits")
+        message = "num_qubits must be in 0..{}, got {}"
+        _require(0 <= n <= MAX_PURE_QUBITS, message, MAX_PURE_QUBITS, n)
         amps = _readonly(np.asarray(self.amplitudes, dtype=complex).reshape(-1))
-        _require(amps.size == 2**self.num_qubits, "record length does not match qubit count")
+        _require(amps.size == 2**n, "record length does not match qubit count")
         w = float(self.weight)
         _require(0 <= w <= 1 + 1e-9, "weight must lie in [0, 1], got {!r}", w)
         if w > NULL_WEIGHT:
@@ -92,6 +105,7 @@ class EnvironmentRecord:
             _require(not amps.any(), "null record must carry zero amplitudes")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "weight", w)
+        object.__setattr__(self, "num_qubits", n)
 
     @property
     def is_null(self) -> bool:

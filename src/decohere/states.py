@@ -213,7 +213,9 @@ class PureState:
 
         The 12-qubit density cap is checked here, before anything is built.
         """
-        # |psi><psi| of a normalized psi is exactly Hermitian, unit-trace and rank one.
+        # |psi><psi| is rank one, and Hermitian and unit-trace within the
+        # tolerances the constructor checks, not exactly: np.outer leaves
+        # rounding defects, and the trace is |psi|^2 only within NORM_TOL.
         n = _check_register(self.num_qubits, MAX_DENSE_QUBITS)
         return _trusted(DensityMatrix, "_amplitudes", self.amplitudes, num_qubits=n)
 

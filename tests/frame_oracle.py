@@ -170,7 +170,7 @@ def step_maps(dynamics, dts: np.ndarray) -> np.ndarray:
 
 
 def cell_matrices(model, record_basis: str) -> list[np.ndarray]:
-    """``records._cell_matrices``: conjugate cells turned by the dense Hadamard frame."""
+    """The records' one-cell matrices: conjugate cells turned by the dense Hadamard frame."""
     cell_mats = [_record_matrix(r) for r in model.record_states]
     if record_basis == "conjugate":
         frame = _hadamard_frame(model.record_qubits)

@@ -21,12 +21,12 @@ from decohere.dephasing import (
     _hadamard_frame,
     _in_pointer_frame,
     _pointer_coefficients,
+    _pointer_weights,
     dephase,
 )
 from decohere.probability import ProbabilityVector
 from decohere.records import (
     MemoryModel,
-    _cell_matrices,
     branch_count,
     conditional_g,
     correlate,
@@ -165,11 +165,12 @@ def _record_model(rec_n: int, mixed: bool) -> MemoryModel:
 @pytest.mark.parametrize("mixed", [False, True])
 @pytest.mark.parametrize("rec_n", [1, 2, 3])
 def test_cell_matrices_and_branch_counts_match_dense_frame(rec_n, mixed):
+    """Each record's readout weights are the diagonal of its dense-frame cell matrix."""
     model = _record_model(rec_n, mixed)
     for basis, kind in (("pointer", "computational"), ("conjugate", "hadamard")):
         want = frame_oracle.cell_matrices(model, basis)
-        for got_cell, want_cell in zip(_cell_matrices(model, basis), want):
-            _assert_frame_match(got_cell, want_cell, kind)
+        for record, want_cell in zip(model.record_states, want):
+            _assert_frame_match(_pointer_weights(kind, record), want_cell.diagonal().real, kind)
         for cells in range(1, 8 // rec_n + 1):
             support = trusted_oracle.register_support(model.probabilities.values, want, cells)
             assert branch_count(model, basis, cells) == int(support.sum())

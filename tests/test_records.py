@@ -407,9 +407,11 @@ def test_branch_count_caps_the_register_before_building_it(monkeypatch):
     def unreachable(*args):
         raise AssertionError("built a register past the cap")
 
-    monkeypatch.setattr(records, "_cell_matrices", unreachable)
-    with pytest.raises(ValueError, match=f"num_qubits must be in 1..{MAX_PURE_QUBITS}, got 21"):
-        branch_count(two_outcome_model(), "conjugate", MAX_PURE_QUBITS + 1)
+    monkeypatch.setattr(records, "_pointer_weights", unreachable)
+    # The cap is checked before the record basis.
+    for basis in ("conjugate", "diagonal"):
+        with pytest.raises(ValueError, match=f"num_qubits must be in 1..{MAX_PURE_QUBITS}, got 21"):
+            branch_count(two_outcome_model(), basis, MAX_PURE_QUBITS + 1)
 
 
 # --- compressibility proxy -------------------------------------------------------

@@ -100,6 +100,20 @@ def test_null_record_must_carry_zero_amplitudes(amps):
         EnvironmentRecord(np.array(amps), 0.0, 1)
 
 
+@pytest.mark.parametrize("width", ["a", "1", 1.5, -1, 21, 10**9, None])
+def test_record_width_is_checked_before_the_length(width):
+    """The width is an integer in 0..20 before 2^n is formed; 10**9 must not build a 10^9-bit int."""
+    with pytest.raises(ValueError, match="num_qubits must be"):
+        EnvironmentRecord(np.array([1.0, 0.0]), 1.0, width)
+
+
+def test_record_width_is_stored_as_an_int():
+    rec = EnvironmentRecord(np.array([0.0, 1.0]), 1.0, 1.0)
+    assert type(rec.num_qubits) is int and rec.num_qubits == 1
+    empty = EnvironmentRecord(np.array([1.0]), 1.0, np.int64(0))
+    assert type(empty.num_qubits) is int and empty.num_qubits == 0
+
+
 def test_record_weights_sum_to_one():
     for _ in range(5):
         amps = RNG.normal(size=16) + 1j * RNG.normal(size=16)

@@ -21,7 +21,6 @@ from decohere.dephasing import DephasingChannel, _hadamard_frame, decohered_limi
 from decohere.probability import ProbabilityVector, _union_and_intersection, sum_rule_violation
 from decohere.records import (
     MemoryModel,
-    _cell_matrices,
     _record_support_projector,
     branch_count,
     correlate,
@@ -194,7 +193,7 @@ def test_branch_count_matches_full_register(basis, rec_n, mixed):
             outcomes = int(RNG.integers(2, 2**rec_n + 1))
             base = _random_model(outcomes, 1, rec_n, mixed, _record_frame(kind, rec_n))
             for model in (base, _drop_an_outcome(base)):
-                cell_mats = _cell_matrices(model, basis)
+                cell_mats = trusted_oracle._cell_matrices(model, basis)
                 support = trusted_oracle.register_support(model.probabilities.values, cell_mats, cells)
                 count = branch_count(model, basis, cells)
                 assert type(count) is int and count == int(support.sum())

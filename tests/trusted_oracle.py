@@ -12,9 +12,11 @@ product; the zero-rank meet is ``np.zeros_like``, as it was.  ``branch_count`` b
 whole 4^cells record register only to read its diagonal and counts the
 weights above 1e-6, as branches were once counted; ``register_support``
 marks every register string in the support, the branches as they are
-counted now.  Both take their record cells from ``records._cell_matrices``,
-whose frame ``frame_oracle`` checks.  The tests compare the trusted code and
-the exact branch count in ``decohere`` against this.
+counted now.  Both take their record cells from ``_cell_matrices``, each
+record's whole d x d matrix turned into the readout frame, as ``records``
+built them before it read only their pointer-frame weights; ``frame_oracle``
+checks that frame.  The tests compare the trusted code and the exact branch
+count in ``decohere`` against this.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import Iterable
 
 import numpy as np
 
-from decohere.dephasing import DephasingChannel
+from decohere.dephasing import DephasingChannel, _in_pointer_frame
 from decohere.probability import RANK_TOL
-from decohere.records import _cell_matrices
+from decohere.records import _readout_frame
 from decohere.redundancy import NULL_WEIGHT, EnvironmentRecord
 from decohere.states import DensityMatrix, Projector, PureState, check_qubits
 from pinch_oracle import _pinch
@@ -89,6 +91,12 @@ def _record_matrix(record) -> np.ndarray:
     if isinstance(record, PureState):
         return np.outer(record.amplitudes, record.amplitudes.conj())
     return record.elements
+
+
+def _cell_matrices(model, record_basis: str) -> list[np.ndarray]:
+    """Each outcome's one-cell record, in the frame that ``record_basis`` names."""
+    frame = _readout_frame(record_basis, "record basis")
+    return [_in_pointer_frame(frame, _record_matrix(r)) for r in model.record_states]
 
 
 def correlate(model) -> DensityMatrix:
