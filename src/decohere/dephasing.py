@@ -229,10 +229,13 @@ def _pointer_weights(frame, state) -> np.ndarray:
     """diag(W^H rho W) as a real vector: the weight of each pointer state.
 
     A pure input (a ``PureState`` or a state from ``to_density_matrix``)
-    is read as |W^H psi|^2 from its amplitudes, with no d x d matrix.
+    is read as |W^H psi|^2 from its amplitudes, with no d x d matrix.  A
+    mixed state in the computational frame is its own diagonal.
     """
     amps = _pure_amplitudes(state)
     if amps is None:
+        if isinstance(frame, str) and frame == "computational":
+            return state.elements.diagonal().real
         return _in_pointer_frame(frame, state.elements).diagonal().real
     coeffs = _pointer_coefficients(frame, amps)
     return (coeffs * coeffs.conj()).real

@@ -199,3 +199,17 @@ def test_pure_records_build_no_matrix(monkeypatch):
     for frame in ("computational", "hadamard"):
         _pointer_weights(frame, lazy)
     assert "elements" not in vars(lazy)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mixed_state_in_the_computational_frame_is_its_diagonal(n, monkeypatch):
+    """A mixed state's computational weights are its diagonal: same bytes, no frame change."""
+
+    def unreachable(*args):
+        raise AssertionError("turned a mixed state into the computational frame")
+
+    mixed = _states(n)[3]
+    want = _in_pointer_frame("computational", mixed.elements).diagonal().real
+    monkeypatch.setattr(dephasing, "_in_pointer_frame", unreachable)
+    got = _pointer_weights("computational", mixed)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()

@@ -3,10 +3,11 @@
 ``wht_oracle`` holds the butterfly transform and the per-pattern robustness
 loop.  The factored transform must agree with the butterfly to
 1e-12 x 2^(n/2) (exactly on integer rows) and keep real rows real; the flip
-search must make one transform per popcount layer it visits; the robustness
-from marginal weights must agree with the loop to 1e-12, and the robustness
-read off one split of the joint state must equal, bit for bit, the one read
-off four conditional records.
+search must transform only the candidate X masks of each popcount layer it
+visits, in one call per layer; the robustness from marginal weights must
+agree with the loop to 1e-12, and the robustness read off one split of the
+joint state must equal, bit for bit, the one read off four conditional
+records.
 """
 
 import math
@@ -62,29 +63,44 @@ def _product_record(vectors) -> EnvironmentRecord:
 
 @pytest.mark.parametrize("n", range(1, redundancy.MAX_SEARCH_QUBITS + 1))
 def test_flip_search_transforms_each_visited_layer_once(n, monkeypatch):
-    rows_per_call = []
+    """Only candidate X masks are transformed, each visited layer in one call.
+
+    Real rows are the magnitude correlation (|a| and |b| in one call, their
+    product in another); complex rows are the overlaps of candidate X masks.
+    """
+    real_rows, complex_rows = [], []
 
     def counted(rows):
-        rows_per_call.append(rows.shape[0])
+        (complex_rows if np.iscomplexobj(rows) else real_rows).append(rows.shape[0])
         return _walsh_hadamard(rows)
+
+    def search(a, b):
+        real_rows.clear()
+        complex_rows.clear()
+        seq = redundancy.minimal_flip_sequence(a, b)
+        assert real_rows == [2, 1]
+        return seq
 
     monkeypatch.setattr(redundancy, "_walsh_hadamard", counted)
     x_flip = np.array([[0, 1], [1, 0]], dtype=complex)
     for weight in range(n + 1):
         qubits = [RNG.normal(size=2) + 1j * RNG.normal(size=2) for _ in range(n)]
         flipped = [x_flip @ v if q < weight else v for q, v in enumerate(qubits)]
-        rows_per_call.clear()
-        distance = redundancy.redundancy_distance(_product_record(qubits), _product_record(flipped))
-        assert distance == weight
-        # Layers 0..weight, each in one transform of all its X masks.
-        assert rows_per_call == [math.comb(n, layer) for layer in range(weight + 1)]
-    # An unconnectable pair visits every layer.
+        seq = search(_product_record(qubits), _product_record(flipped))
+        assert seq.labels == ("X",) * weight + ("I",) * (n - weight)
+        # Only the planted X mask reaches a unit magnitude correlation.
+        assert complex_rows == [1]
+    # A random pair that no flip connects leaves no candidate at all.
     a = EnvironmentRecord(np.eye(2**n, dtype=complex)[0], 1.0, n)
     b_vec = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
     b = EnvironmentRecord(b_vec / np.linalg.norm(b_vec), 1.0, n)
-    rows_per_call.clear()
-    assert redundancy.minimal_flip_sequence(a, b) is None
-    assert rows_per_call == [math.comb(n, layer) for layer in range(n + 1)]
+    assert search(a, b) is None
+    assert complex_rows == []
+    # Uniform magnitudes prune nothing: an unconnectable pair transforms every layer in full.
+    phases = np.exp(2j * np.pi * RNG.uniform(size=(2, 2**n))) / math.sqrt(2**n)
+    a, b = (EnvironmentRecord(p, 1.0, n) for p in phases)
+    assert search(a, b) is None
+    assert complex_rows == [math.comb(n, layer) for layer in range(n + 1)]
 
 
 def _two_branch_joint(n_env: int, ghz: bool, leak: float = 0.0, system=None) -> JointState:
