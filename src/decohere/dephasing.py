@@ -221,6 +221,8 @@ def _pointer_coefficients(frame, rows: np.ndarray) -> np.ndarray:
 
 def _in_pointer_frame(frame, mat: np.ndarray) -> np.ndarray:
     """W^H X W for a d x d ``mat``: B = W^H X column by column, then B W = (W^H B^H)^H."""
+    if not isinstance(frame, np.ndarray) and frame == "computational":
+        return mat.copy()  # the bytes of the two conjugates below, in one copy
     half = _pointer_coefficients(frame, mat.T).T
     return _pointer_coefficients(frame, half.conj()).conj()
 
@@ -229,13 +231,10 @@ def _pointer_weights(frame, state) -> np.ndarray:
     """diag(W^H rho W) as a real vector: the weight of each pointer state.
 
     A pure input (a ``PureState`` or a state from ``to_density_matrix``)
-    is read as |W^H psi|^2 from its amplitudes, with no d x d matrix.  A
-    mixed state in the computational frame is its own diagonal.
+    is read as |W^H psi|^2 from its amplitudes, with no d x d matrix.
     """
     amps = _pure_amplitudes(state)
     if amps is None:
-        if isinstance(frame, str) and frame == "computational":
-            return state.elements.diagonal().real
         return _in_pointer_frame(frame, state.elements).diagonal().real
     coeffs = _pointer_coefficients(frame, amps)
     return (coeffs * coeffs.conj()).real

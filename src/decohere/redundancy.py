@@ -13,9 +13,8 @@ a match are transformed.  They are taken in layers of increasing popcount,
 the candidates of a layer in one transform, and the search stops once the
 lightest match weighs less than the next layer, since popcount(x | z) >=
 popcount(x).  Among matches of the least weight, the first in the order
-(qubit tuple, then X < Y < Z labels) wins; the order is compared as
-integers, with no per-hit labels.  The search is capped at 8 environment
-qubits (4^8 assignments).
+(qubit tuple, then X < Y < Z labels) wins.  The search is capped at 8
+environment qubits (4^8 assignments).
 
 Decoding robustness treats "k errors" as k complete decohering events:
 each afflicted qubit suffers the relevant Pauli with probability 1/2
@@ -213,11 +212,7 @@ def minimal_flip_sequence(
     less than k.
 
     Ties go to the first assignment in (weight, qubit tuple, X < Y < Z
-    labels) order, compared as integers: the weight popcount(x | z); then
-    the support mask x | z, descending (qubit 0 is the top bit, so an
-    ascending qubit tuple is a descending mask); then the labels as a
-    base-3 number, X = 0, Y = 1, Z = 2, qubit 0 first.  Returns None when
-    no assignment matches.
+    labels) order.  Returns None when no assignment matches.
     """
     if a.is_null or b.is_null:
         raise ValueError("null records have no flip distance")
@@ -232,27 +227,25 @@ def minimal_flip_sequence(
     correlation = _walsh_hadamard(magnitudes[:1] * magnitudes[1:])[0] / 2**n  # c[x]
     candidates = indices[correlation >= 1.0 - 2 * MATCH_TOL]
     layer_of = np.bitwise_count(candidates)
-    shifts = indices[:n]  # bit i of a mask is qubit n - 1 - i
     b_conj = b.amplitudes.conj()
-    best = None  # (weight, -support, label code, x mask, z mask) of the lightest match
+    best = None  # ((weight, qubit tuple, Pauli labels), per-qubit labels)
     for layer in np.flatnonzero(np.bincount(layer_of)).tolist():
-        if best is not None and best[0] < layer:
+        if best is not None and best[0][0] < layer:
             break
         x_masks = candidates[layer_of == layer]
         spectrum = _walsh_hadamard(b_conj[indices ^ x_masks[:, None]] * a.amplitudes)
         rows, z_masks = np.nonzero(np.abs(spectrum) >= 1.0 - MATCH_TOL)
-        if not rows.size:
-            continue
-        hit_x = x_masks[rows]
-        support = hit_x | z_masks
-        weights = np.bitwise_count(support)
-        # Per qubit, z + (x | z) - x is 0 off the support, 0 for X, 1 for Y and 2 for Z.
-        digits = ((z_masks[:, None] >> shifts) & 1) + ((support[:, None] >> shifts) & 1)
-        codes = (digits - ((hit_x[:, None] >> shifts) & 1)) @ 3**shifts
-        i = np.lexsort((codes, -support, weights))[0]
-        hit = (int(weights[i]), -int(support[i]), int(codes[i]), int(hit_x[i]), int(z_masks[i]))
-        best = hit if best is None else min(best, hit)
-    return None if best is None else FlipSequence(_flip_labels(best[3], best[4], n))
+        if rows.size:
+            hit_x = x_masks[rows]
+            weights = np.bitwise_count(hit_x | z_masks)
+            lightest = weights == weights.min()
+            for x, z in zip(hit_x[lightest].tolist(), z_masks[lightest].tolist()):
+                labels = _flip_labels(x, z, n)
+                qubits = tuple(q for q, p in enumerate(labels) if p != "I")
+                key = (len(qubits), qubits, tuple(labels[q] for q in qubits))
+                if best is None or key < best[0]:
+                    best = (key, labels)
+    return None if best is None else FlipSequence(best[1])
 
 
 def redundancy_distance(a: EnvironmentRecord, b: EnvironmentRecord) -> float:

@@ -10,8 +10,7 @@ costs one gather and one sum, up to 4^n of them.
 pruned X masks by their magnitude correlation: every X mask of every
 visited popcount layer is transformed, and the winner among equally light
 matches is picked by building each hit's labels and comparing tuples.  It
-uses the package's own transform, so that a comparison isolates the prune
-and the integer tie-break.
+uses the package's own transform, so that a comparison isolates the prune.
 
 The tests compare the pruned search in ``decohere.redundancy`` against both.
 """

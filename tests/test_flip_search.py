@@ -119,9 +119,13 @@ def _tie_heavy_family(n: int) -> dict[str, list[np.ndarray]]:
         vec = np.zeros(d)
         vec[k] = 1.0
         basis.append(vec)
-    ghz = [np.zeros(d), np.zeros(d)]
+    ghz = [np.zeros(d), np.zeros(d), np.zeros(d)]
     for sign, vec in zip((1.0, -1.0), ghz):
         vec[0], vec[-1] = 1.0, sign
+    # X on qubit 0 and the top qubits, or on the rest, maps GHZ+ here: at even n two
+    # equally light supports whose qubit tuples order differently when reversed.
+    m = (1 << (n - 1)) | ((1 << (n - n // 2 - 1)) - 1)
+    ghz[2][m] = ghz[2][m ^ (d - 1)] = 1.0
     parity = np.bitwise_count(np.arange(d)) & 1
     return {
         "basis": basis,

@@ -202,14 +202,12 @@ def test_pure_records_build_no_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_mixed_state_in_the_computational_frame_is_its_diagonal(n, monkeypatch):
-    """A mixed state's computational weights are its diagonal: same bytes, no frame change."""
-
-    def unreachable(*args):
-        raise AssertionError("turned a mixed state into the computational frame")
-
+def test_computational_frame_change_is_one_copy(n):
+    """In the computational frame W^H X W is X: a fresh copy with the bytes of X conj conj."""
     mixed = _states(n)[3]
-    want = _in_pointer_frame("computational", mixed.elements).diagonal().real
-    monkeypatch.setattr(dephasing, "_in_pointer_frame", unreachable)
-    got = _pointer_weights("computational", mixed)
-    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    elements = mixed.elements
+    turned = _in_pointer_frame("computational", elements)
+    assert not np.shares_memory(turned, elements)
+    assert turned.dtype == elements.dtype and turned.tobytes() == elements.conj().conj().tobytes()
+    weights = _pointer_weights("computational", mixed)
+    assert weights.dtype == np.float64 and weights.tobytes() == elements.diagonal().real.tobytes()
