@@ -169,9 +169,7 @@ def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return f"{value:.12g}"
+        return f"{value:.12g}"  # "inf", "-inf" and "nan" included
     return str(value)
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Sequence, Union
 
 import numpy as np
@@ -283,8 +282,16 @@ class RecordSequence:
         return cls((symbol,) * length, tuple(alphabet))
 
 
-def _run_lengths(symbols: Sequence) -> list[int]:
-    return [len(list(run)) for _, run in groupby(symbols)]
+def _run_lengths(symbols: Sequence, alphabet: Sequence) -> list[int]:
+    """Lengths of the runs of equal symbols, in order.
+
+    Each symbol is coded by its alphabet index, one dict lookup each; a run
+    ends where consecutive codes differ (the codes -1 before and after the
+    sequence close the first and last runs).
+    """
+    index = {symbol: i for i, symbol in enumerate(alphabet)}
+    codes = np.fromiter(map(index.__getitem__, symbols), dtype=np.intp, count=len(symbols))
+    return np.diff(np.flatnonzero(np.diff(codes, prepend=-1, append=-1))).tolist()
 
 
 def compressibility_proxy(sequence: RecordSequence) -> float:
@@ -301,7 +308,7 @@ def compressibility_proxy(sequence: RecordSequence) -> float:
     if len(sequence) < 16:
         raise ValueError("sequence too short for a stable ratio (need >= 16 symbols)")
     a = len(sequence.alphabet)
-    runs = _run_lengths(sequence.symbols)
+    runs = _run_lengths(sequence.symbols, sequence.alphabet)
     counts = Counter(runs)
     n_runs = len(runs)
     length_entropy = 0.0

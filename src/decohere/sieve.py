@@ -8,16 +8,22 @@ together in blocks of ``BLOCK_SIZE``.  One helper serves a single state
 With no self-Hamiltonian the channel semigroup is evaluated in closed form
 at every grid time: the purity is
 sum_i |x_ii|^2 + exp(-2t/t_d) sum_{i!=j} |x_ij|^2, one outer product of
-per-candidate sums with the sample times.  With a self-Hamiltonian H,
-evolution uses first-order operator splitting per grid interval: the exact
-unitary V = exp(-iH' dt) of H' = W^H H W, H in the pointer frame, then the
-exact dephasing mask D for the same dt, X' = D o (V X V^H).  That step is a
-fixed linear map, built once per distinct dt as a d^2 x d^2 superoperator.
-For d > 2 the block advances by one (B, d^2) x (d^2, d^2) product per grid
-interval, straight into its state record.  A qubit keeps only its purities:
-its intervals are grouped into chunks of about sqrt(n) steps, and the block
-advances by one (B, 4) x (4, 4k) product per chunk against the chunk's
-prefix products, which yields the k states of the chunk.
+per-candidate sums with the sample times.  A qubit's trajectory, and so its
+report, is then a function of three numbers of its pointer frame: the
+populations p0 and p1 and the coherence sum_{i!=j} |x_ij|^2.  Bloch grids
+repeat these exactly, so ``sieve_rank`` groups candidates whose three values
+are equal byte for byte and evolves each distinct triple once.
+
+With a self-Hamiltonian H, evolution uses first-order operator splitting
+per grid interval: the exact unitary V = exp(-iH' dt) of H' = W^H H W, H in
+the pointer frame, then the exact dephasing mask D for the same dt,
+X' = D o (V X V^H).  That step is a fixed linear map, built once per
+distinct dt as a d^2 x d^2 superoperator.  For d > 2 the block advances
+by one (B, d^2) x (d^2, d^2) product per grid interval, straight into its
+state record.  A qubit keeps only its purities: its intervals are grouped
+into chunks of about sqrt(n) steps, and the block advances by one
+(B, 4) x (4, 4k) product per chunk against the chunk's prefix products,
+which yields the k states of the chunk.
 
 Entropies come from the spectrum of each sampled state.  A qubit's spectrum
 follows from its purity alone: lambda+ = (1 + sqrt(2P - 1)) / 2 and
@@ -340,6 +346,39 @@ def _purities(xs: np.ndarray, out: np.ndarray) -> None:
     np.vecdot(flat, flat, out=out)
 
 
+def _frame_statistics(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Populations x_ii (B, d) and coherences sum_{i != j} |x_ij|^2 (B,) of pointer-frame states.
+
+    Without a self-Hamiltonian they fix a state's purities and equilibrium
+    entropy, and so a qubit's whole trajectory.
+    """
+    populations = np.diagonal(frames, axis1=1, axis2=2).real
+    off_diag = 1.0 - np.eye(frames.shape[1])
+    return populations, np.sum(np.abs(frames) ** 2 * off_diag, axis=(1, 2))
+
+
+def _closed_form(
+    populations: np.ndarray, coherence: np.ndarray, decay: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Purities (B, T) and equilibrium entropies (B,) from ``_frame_statistics``.
+
+    ``decay`` is exp(-2t/t_d) at the recorded times.
+    """
+    purities = np.sum(populations**2, axis=1)[:, None] + coherence[:, None] * decay
+    return purities, _entropies_from_spectra(populations.T)
+
+
+def _entropies(purities: np.ndarray, states: Optional[np.ndarray]) -> np.ndarray:
+    """Range-checked entropies (B, T): a qubit's from its purities, a larger register's from its states."""
+    if states is None:
+        entropies, num_qubits = _qubit_entropies(purities), 1
+    else:
+        entropies = _entropies_from_spectra(np.moveaxis(np.linalg.eigvalsh(states), -1, 0))
+        num_qubits = states.shape[-1].bit_length() - 1
+    _check_entropy_range(entropies, num_qubits)
+    return entropies
+
+
 def _evolve_block(
     frames: np.ndarray, dynamics: DynamicsSpec, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -350,31 +389,18 @@ def _evolve_block(
     the pointer-frame diagonal, or of the state at the last recorded time
     when a self-Hamiltonian keeps rotating the register.
     """
+    if dynamics.self_hamiltonian is not None:
+        purities, states = _split_step(frames, dynamics, times)
+        entropies = _entropies(purities, states)
+        return purities, entropies, entropies[:, -1]
     d = frames.shape[1]
     t_d = dynamics.channel.t_d
-    off_diag = 1.0 - np.eye(d)
-    if dynamics.self_hamiltonian is None:
-        populations = np.diagonal(frames, axis1=1, axis2=2).real
-        coherence = np.sum(np.abs(frames) ** 2 * off_diag, axis=(1, 2))
-        purities = (
-            np.sum(populations**2, axis=1)[:, None]
-            + coherence[:, None] * np.exp(-2.0 * times / t_d)
-        )
-        equilibrium = _entropies_from_spectra(populations.T)
-        states = None
-        if d > 2:
-            states = frames[:, None] * (np.exp(-times / t_d)[:, None, None] * off_diag + np.eye(d))
-    else:
-        purities, states = _split_step(frames, dynamics, times)
-        equilibrium = None
-    if d == 2:
-        entropies = _qubit_entropies(purities)
-    else:
-        entropies = _entropies_from_spectra(np.moveaxis(np.linalg.eigvalsh(states), -1, 0))
-    _check_entropy_range(entropies, d.bit_length() - 1)
-    if equilibrium is None:
-        equilibrium = entropies[:, -1]
-    return purities, entropies, equilibrium
+    purities, equilibrium = _closed_form(*_frame_statistics(frames), np.exp(-2.0 * times / t_d))
+    states = None
+    if d > 2:
+        off_diag = 1.0 - np.eye(d)
+        states = frames[:, None] * (np.exp(-times / t_d)[:, None, None] * off_diag + np.eye(d))
+    return purities, _entropies(purities, states), equilibrium
 
 
 def evolve_entropy(
@@ -517,6 +543,13 @@ def sieve_rank(
     entropy (0 to n bits) to 9 decimals, so exact ties that rounding split
     keep their input order; a pair straddling a rounding boundary still
     orders by value.  Candidates are evolved in blocks of ``BLOCK_SIZE``.
+
+    In the qubit closed form a report depends only on the candidate's
+    (p0, p1, coherence) in the pointer frame.  Those are read for every
+    candidate, and each distinct triple (equal bytes) is evolved once and
+    its values given to every candidate that holds it.  The split step and
+    larger registers evolve every candidate.  Reports are built once, in
+    rank order.
     """
     if not candidates:
         raise ValueError("need at least one candidate state")
@@ -528,31 +561,43 @@ def sieve_rank(
             raise ValueError(f"{name} has {len(values)} entries for {count} candidates")
     times = dynamics.recorded_times()
     half = np.diff(times) / 2
-    floor = 1.0 / dynamics.channel.dim
-    reports: list[SieveReport] = []
-    for start in range(0, count, BLOCK_SIZE):
-        frames = _pointer_frames(candidates[start : start + BLOCK_SIZE], dynamics.channel)
-        purities, entropies, equilibrium = _evolve_block(frames, dynamics, times)
-        t_p, t_p_capped = _entropy_horizons(times, half, entropies, equilibrium)
-        t_pp, t_pp_capped = _purity_horizons(half, purities, floor)
-        columns = zip(
-            t_p.tolist(), t_p_capped.tolist(), t_pp.tolist(), t_pp_capped.tolist(),
-            entropies[:, -1].tolist(),
-        )
-        for idx, (tp, tp_capped, tpp, tpp_capped, final) in enumerate(columns, start):
-            theta, phi = (angles[idx] if angles is not None else (None, None))
-            reports.append(SieveReport(
-                label=labels[idx] if labels is not None else f"candidate-{idx}",
-                t_p=tp,
-                t_p_capped=tp_capped,
-                tprime_p=tpp,
-                tprime_capped=tpp_capped,
-                final_entropy=final,
-                theta=theta,
-                phi=phi,
-            ))
-    mantissa, exponent = np.frexp([r.tprime_p for r in reports])
+    channel = dynamics.channel
+    floor = 1.0 / channel.dim
+    # The row of each candidate's values, and the candidate each row evolves.
+    group = rows = np.arange(count)
+    stats = None
+    if channel.dim == 2 and dynamics.self_hamiltonian is None:
+        # (p0, p1, coherence) per candidate; each distinct triple, by its bytes, is evolved once.
+        stats = np.empty((count, 3))
+        for start in range(0, count, BLOCK_SIZE):
+            frames = _pointer_frames(candidates[start : start + BLOCK_SIZE], channel)
+            block = stats[start : start + BLOCK_SIZE]
+            block[:, :2], block[:, 2] = _frame_statistics(frames)
+        keys = stats.view(np.dtype((np.void, stats.itemsize * 3))).ravel()
+        _, rows, group = np.unique(keys, return_index=True, return_inverse=True)
+        decay = np.exp(-2.0 * times / channel.t_d)
+    t_p, tprime_p, final = np.empty(rows.size), np.empty(rows.size), np.empty(rows.size)
+    t_p_capped, tprime_capped = np.empty(rows.size, dtype=bool), np.empty(rows.size, dtype=bool)
+    for start in range(0, rows.size, BLOCK_SIZE):
+        block = slice(start, start + BLOCK_SIZE)
+        if stats is None:
+            frames = _pointer_frames(candidates[block], channel)
+            purities, entropies, equilibrium = _evolve_block(frames, dynamics, times)
+        else:
+            selected = stats[rows[block]]
+            purities, equilibrium = _closed_form(selected[:, :2], selected[:, 2], decay)
+            entropies = _entropies(purities, None)
+        t_p[block], t_p_capped[block] = _entropy_horizons(times, half, entropies, equilibrium)
+        tprime_p[block], tprime_capped[block] = _purity_horizons(half, purities, floor)
+        final[block] = entropies[:, -1]
+    mantissa, exponent = np.frexp(tprime_p)
     horizon_keys = np.ldexp(np.round(mantissa * 2**30), exponent - 30)
-    entropy_keys = np.round([r.final_entropy for r in reports], 9)
-    order = np.lexsort((np.arange(count), entropy_keys, -horizon_keys))
-    return [reports[i] for i in order.tolist()]
+    order = np.lexsort((np.arange(count), np.round(final, 9)[group], -horizon_keys[group]))
+    ranked = group[order]
+    columns = (t_p, t_p_capped, tprime_p, tprime_capped, final)
+    reports = []
+    for idx, *values in zip(order.tolist(), *(c[ranked].tolist() for c in columns)):
+        theta, phi = (angles[idx] if angles is not None else (None, None))
+        label = labels[idx] if labels is not None else f"candidate-{idx}"
+        reports.append(SieveReport(label, *values, theta=theta, phi=phi))
+    return reports

@@ -17,6 +17,12 @@ qubit entropies were formed in one buffer and the horizons shared their
 halved intervals: ``np.trapezoid`` per horizon, the generic spectrum
 entropy on both qubit eigenvalues, and a numpy scalar per report field.
 The block sieve must keep their bits exactly, signed zeros included.
+
+``ungrouped_sieve_rank`` is the block sieve as it was before qubit
+candidates were grouped by their closed-form statistics: every candidate
+is evolved through ``_evolve_block``, one report is built per candidate
+block by block, and the reports are then ordered.  The grouped sieve must
+keep its reports, and their order, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +42,10 @@ from decohere.sieve import (
     EntropyTrajectory,
     Horizon,
     SieveReport,
+    _entropy_horizons,
+    _evolve_block,
     _pointer_frames,
+    _purity_horizons,
     _split_step,
 )
 from decohere.states import (
@@ -357,6 +366,45 @@ def block_sieve_rank(
                 tprime_p=float(t_pp[k]),
                 tprime_capped=bool(t_pp_capped[k]),
                 final_entropy=float(entropies[k, -1]),
+                theta=theta,
+                phi=phi,
+            ))
+    mantissa, exponent = np.frexp([r.tprime_p for r in reports])
+    horizon_keys = np.ldexp(np.round(mantissa * 2**30), exponent - 30)
+    entropy_keys = np.round([r.final_entropy for r in reports], 9)
+    order = np.lexsort((np.arange(count), entropy_keys, -horizon_keys))
+    return [reports[i] for i in order.tolist()]
+
+
+def ungrouped_sieve_rank(
+    candidates: Sequence[PureState],
+    dynamics: DynamicsSpec,
+    labels: Optional[Sequence[str]] = None,
+    angles: Optional[Sequence[tuple[float, float]]] = None,
+) -> list[SieveReport]:
+    count = len(candidates)
+    times = dynamics.recorded_times()
+    half = np.diff(times) / 2
+    floor = 1.0 / dynamics.channel.dim
+    reports: list[SieveReport] = []
+    for start in range(0, count, BLOCK_SIZE):
+        frames = _pointer_frames(candidates[start : start + BLOCK_SIZE], dynamics.channel)
+        purities, entropies, equilibrium = _evolve_block(frames, dynamics, times)
+        t_p, t_p_capped = _entropy_horizons(times, half, entropies, equilibrium)
+        t_pp, t_pp_capped = _purity_horizons(half, purities, floor)
+        columns = zip(
+            t_p.tolist(), t_p_capped.tolist(), t_pp.tolist(), t_pp_capped.tolist(),
+            entropies[:, -1].tolist(),
+        )
+        for idx, (tp, tp_capped, tpp, tpp_capped, final) in enumerate(columns, start):
+            theta, phi = (angles[idx] if angles is not None else (None, None))
+            reports.append(SieveReport(
+                label=labels[idx] if labels is not None else f"candidate-{idx}",
+                t_p=tp,
+                t_p_capped=tp_capped,
+                tprime_p=tpp,
+                tprime_capped=tpp_capped,
+                final_entropy=final,
                 theta=theta,
                 phi=phi,
             ))

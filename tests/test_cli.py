@@ -485,6 +485,7 @@ def test_float_rendering_uses_12_significant_digits():
     assert _format_cell(True) == "true"
     assert _format_cell(None) == ""
     assert _format_cell(math.inf) == "inf"
+    assert _format_cell(-math.inf) == "-inf"
 
 
 def test_no_temp_files_left_behind(tmp_path):

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from collections import Counter
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -485,7 +487,62 @@ def test_run_lengths_match_symbol_loop():
         if rng.uniform() < 0.5:  # long runs: each pick repeated 1-49 times
             picks = np.repeat(picks, rng.integers(1, 50, length))
         symbols = tuple(alphabet[int(i)] for i in picks)
-        assert records._run_lengths(symbols) == _run_lengths_loop(symbols)
+        assert records._run_lengths(symbols, alphabet) == _run_lengths_loop(symbols)
+
+
+def _groupby_run_lengths(symbols) -> list[int]:
+    """Run lengths as ``itertools.groupby`` gives them, the code that alphabet indices replaced."""
+    return [len(list(run)) for _, run in groupby(symbols)]
+
+
+def _benchmark_sequences(rng):
+    """4096 symbols over 2-5 letters: runs of 4-16 in a shuffled letter order, and uniform draws."""
+    for size in (2, 3, 4, 5):
+        order = [int(s) for s in rng.permutation(size)]
+        run = int(rng.integers(4, 17))
+        yield tuple(order[(i // run) % size] for i in range(4096)), tuple(range(size))
+        yield tuple(int(s) for s in rng.integers(size, size=4096)), tuple(range(size))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "alphabet, symbols",
+    [
+        (("up", "down", "left"), ("up", "up", "down", "left", "left", "left", "up")),
+        (((0, 1), None, (1,)), ((0, 1), (0, 1), None, None, (1,), (0, 1))),
+        ((1, "1"), (1, "1", "1", 1, 1, "1")),
+        ((0, 1), (1, 1.0, True, 0, 0.0, False, 1, 0, True)),
+        ((NAN, 0.5), (NAN, NAN, 0.5, NAN, 0.5, 0.5)),
+        ((0, 1), (0,)),
+        ((0, 1), ()),
+    ],
+    ids=["strings", "tuples-and-none", "int-and-str", "equal-numbers", "nan", "one", "empty"],
+)
+def test_run_lengths_match_groupby(alphabet, symbols):
+    sequence = RecordSequence(symbols, alphabet)  # a valid record
+    assert records._run_lengths(sequence.symbols, sequence.alphabet) == _groupby_run_lengths(symbols)
+
+
+def test_run_lengths_match_groupby_on_benchmark_sequences():
+    rng = np.random.default_rng(4096)
+    for symbols, alphabet in _benchmark_sequences(rng):
+        assert records._run_lengths(symbols, alphabet) == _groupby_run_lengths(symbols)
+        # The same runs in the same order: the ratio keeps its bits.
+        sequence = RecordSequence(symbols, alphabet)
+        assert compressibility_proxy(sequence) == _groupby_ratio(symbols, len(alphabet))
+
+
+def _groupby_ratio(symbols, size: int) -> float:
+    """``compressibility_proxy`` as it was computed from ``groupby`` run lengths."""
+    runs = _groupby_run_lengths(symbols)
+    length_entropy = 0.0
+    for c in Counter(runs).values():
+        freq = c / len(runs)
+        length_entropy -= freq * math.log2(freq)
+    bits = math.log2(size) + (len(runs) - 1) * math.log2(size - 1) + len(runs) * length_entropy
+    return bits / (len(symbols) * math.log2(size))
 
 
 def test_density_matrix_type_of_correlate():

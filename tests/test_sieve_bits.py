@@ -6,6 +6,11 @@ halved-interval array: ``np.trapezoid`` per horizon, the generic spectrum
 entropy over both qubit eigenvalues, a numpy scalar per report field.
 Nothing may move, not even the sign of a zero: reports, trajectories and
 horizons must be ``tobytes()``-equal.
+
+``sieve_oracle.ungrouped_sieve_rank`` evolves every candidate, as the sieve
+did before qubit closed-form candidates were grouped by their statistics
+(p0, p1, coherence).  The grouped sieve must give the same reports in the
+same order, bit for bit.
 """
 
 import math
@@ -114,6 +119,103 @@ def test_sieve_rank_keeps_block_bits(kind, num_qubits, split, grid):
     if not split and kind == "computational":
         # Poles and basis states are pointer states here: entropy exactly 0 at every time.
         assert any(r.final_entropy == 0.0 for r in got)
+
+
+def _assert_same_reports(got, want) -> None:
+    """Every report in rank order: float fields by their bytes, the rest by equality."""
+    assert len(got) == len(want)
+    for name in REPORT_FLOATS:
+        floats = [[getattr(r, name) for r in reports] for reports in (got, want)]
+        assert _bits(floats[0]) == _bits(floats[1]), name
+    for name in REPORT_FIELDS:
+        assert [getattr(r, name) for r in got] == [getattr(r, name) for r in want], name
+
+
+def _assert_matches_both_references(candidates, dynamics, **names) -> list:
+    got = sieve_rank(candidates, dynamics, **names)
+    _assert_same_reports(got, sieve_oracle.ungrouped_sieve_rank(candidates, dynamics, **names))
+    _assert_same_reports(got, sieve_oracle.block_sieve_rank(candidates, dynamics, **names))
+    return got
+
+
+def _closed_qubit_dynamics(channel: DephasingChannel, cap: float = 50.0) -> DynamicsSpec:
+    return DynamicsSpec(channel, uniform_grid(50.0, 500), cap)
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("split", [False, True], ids=["closed", "split"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_grouped_sieve_keeps_ungrouped_bits(kind, split, grid):
+    dynamics = _dynamics(kind, 1, split, GRIDS[grid])
+    candidates, angles = _candidates(1, dynamics.channel)
+    labels = [f"c{i}" for i in range(len(candidates))]
+    _assert_matches_both_references(candidates, dynamics, labels=labels, angles=angles)
+
+
+@pytest.mark.parametrize("kind", ["computational", "hadamard"])
+def test_grouped_sieve_keeps_bits_on_the_default_grid(kind):
+    """The CLI's 36 x 36 grid: 1332 candidates, far fewer distinct statistics."""
+    angles = bloch_grid(36, 36)
+    candidates = [bloch_state(t, p) for t, p in angles]
+    dynamics = _closed_qubit_dynamics(getattr(DephasingChannel, kind)(1, 1.0))
+    _assert_matches_both_references(candidates, dynamics, angles=angles)
+
+
+def test_grouped_sieve_keeps_bits_on_random_states():
+    """Random qubits share no statistics: every group holds one candidate."""
+    amps = RNG.normal(size=(3 * BLOCK_SIZE + 5, 2)) + 1j * RNG.normal(size=(3 * BLOCK_SIZE + 5, 2))
+    candidates = [PureState(a / np.linalg.norm(a), 1) for a in amps]
+    for kind in KINDS:
+        _assert_matches_both_references(candidates, _closed_qubit_dynamics(_channel(kind, 1, 0.8)))
+
+
+def test_repeated_candidate_forms_one_group_in_position_order():
+    candidates = [bloch_state(1.1, 0.4)] * 40
+    labels = [f"copy-{i}" for i in range(40)]
+    angles = [(1.1, 0.4)] * 40
+    dynamics = _closed_qubit_dynamics(DephasingChannel.hadamard(1, 1.3))
+    got = _assert_matches_both_references(candidates, dynamics, labels=labels, angles=angles)
+    assert [r.label for r in got] == labels
+    assert len({(_bits(r.t_p), _bits(r.tprime_p), _bits(r.final_entropy)) for r in got}) == 1
+
+
+def test_single_candidate_without_labels_or_angles():
+    dynamics = _closed_qubit_dynamics(DephasingChannel.computational(1, 0.7), cap=61.0)
+    (report,) = _assert_matches_both_references([bloch_state(0.3, 2.0)], dynamics)
+    assert (report.label, report.theta, report.phi) == ("candidate-0", None, None)
+
+
+def _spy_rows(monkeypatch) -> list[int]:
+    """The number of rows of every closed-form evaluation that follows."""
+    rows = []
+    closed_form = sieve._closed_form
+
+    def spy(populations, coherence, decay):
+        rows.append(len(populations))
+        return closed_form(populations, coherence, decay)
+
+    monkeypatch.setattr(sieve, "_closed_form", spy)
+    return rows
+
+
+@pytest.mark.parametrize("copies", [1, 2, BLOCK_SIZE + 1, 3 * BLOCK_SIZE])
+def test_copies_of_one_candidate_evolve_one_row(monkeypatch, copies):
+    rows = _spy_rows(monkeypatch)
+    dynamics = _closed_qubit_dynamics(DephasingChannel.hadamard(1, 1.0))
+    reports = sieve_rank([bloch_state(0.9, 2.5)] * copies + [bloch_state(2.0, 1.0)], dynamics)
+    assert rows == [2]
+    assert len(reports) == copies + 1
+
+
+def test_statistics_group_by_their_bytes(monkeypatch):
+    """+0.0 and -0.0 compare equal but are two groups; equal bytes are one."""
+    rows = _spy_rows(monkeypatch)
+    populations = np.array([[1.0, 0.0], [1.0, -0.0], [1.0, 0.0], [1.0, -0.0]])
+    monkeypatch.setattr(sieve, "_frame_statistics", lambda frames: (populations, np.zeros(4)))
+    dynamics = _closed_qubit_dynamics(DephasingChannel.computational(1, 1.0))
+    reports = sieve_rank([bloch_state(0.0, 0.0)] * 4, dynamics)
+    assert rows == [2]
+    assert [r.label for r in reports] == [f"candidate-{i}" for i in range(4)]
 
 
 @pytest.mark.parametrize("grid", sorted(GRIDS))

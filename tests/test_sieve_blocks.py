@@ -201,6 +201,7 @@ def test_sieve_rank_rejects_mismatched_labels_before_evolving(monkeypatch):
     candidates, _ = _qubit_grid(2, 2)
     dynamics = DynamicsSpec(DephasingChannel.computational(1, 1.0), uniform_grid(5.0, 50), 5.0)
     monkeypatch.setattr(sieve, "_evolve_block", _no_evolution)
+    monkeypatch.setattr(sieve, "_pointer_frames", _no_evolution)
     with pytest.raises(ValueError, match="labels has 1 entries for 6 candidates"):
         sieve_rank(candidates, dynamics, labels=["only-one"])
 
@@ -209,6 +210,7 @@ def test_sieve_rank_rejects_mismatched_angles_before_evolving(monkeypatch):
     candidates, angles = _qubit_grid(2, 2)
     dynamics = DynamicsSpec(DephasingChannel.computational(1, 1.0), uniform_grid(5.0, 50), 5.0)
     monkeypatch.setattr(sieve, "_evolve_block", _no_evolution)
+    monkeypatch.setattr(sieve, "_pointer_frames", _no_evolution)
     with pytest.raises(ValueError, match="angles has 5 entries for 6 candidates"):
         sieve_rank(candidates, dynamics, angles=angles[:-1])
 
