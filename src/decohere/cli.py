@@ -90,7 +90,7 @@ class ConfigError(Exception):
 
 
 _JSON_ONLY = "experiment '{}' emits JSON; use --format json"
-# Largest sieve time grid: 10^6 steps of 12 candidates peak near 334 MB.
+# Largest sieve time grid: 10^6 steps of 12 candidates peak near 93 MB max RSS.
 _MAX_SIEVE_STEPS = 10**6
 
 

@@ -33,6 +33,7 @@ from .states import (
     _check_register,
     _expectation,
     _integer,
+    _pure_amplitudes,
     _require,
     _span_projector,
     _trusted,
@@ -48,6 +49,22 @@ def _record_matrix(record: RecordState) -> np.ndarray:
     if isinstance(record, PureState):
         return np.outer(record.amplitudes, record.amplitudes.conj())
     return record.elements
+
+
+def _orthogonality_defect(a: RecordState, b: RecordState, amps_a, amps_b) -> float:
+    """|<a|b>| for two ``PureState`` records, else Tr(rho_a rho_b).
+
+    ``amps_a`` and ``amps_b`` are the records' ``_pure_amplitudes``.  A
+    record that has them is read from them, with no d x d matrix: the trace
+    is |<a|b>|^2 for two of them and <a|rho_b|a> for one.
+    """
+    if amps_a is not None and amps_b is not None:
+        overlap = abs(complex(np.vdot(amps_a, amps_b)))
+        return overlap if isinstance(a, PureState) and isinstance(b, PureState) else overlap**2
+    if amps_a is None and amps_b is None:
+        return _expectation(a.elements, b.elements)
+    amps, rho = (amps_a, b) if amps_b is None else (amps_b, a)
+    return float(np.vdot(amps, rho.elements @ amps).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,13 +88,11 @@ class MemoryModel:
         rec_n = {r.num_qubits for r in self.record_states}
         if len(sys_n) != 1 or len(rec_n) != 1:
             raise ValueError("system and record registers must each have fixed width")
+        records = self.record_states
+        amplitudes = [_pure_amplitudes(r) for r in records]
         for i in range(k):
             for j in range(i + 1, k):
-                a, b = self.record_states[i], self.record_states[j]
-                if isinstance(a, PureState) and isinstance(b, PureState):
-                    defect = abs(a.overlap(b))
-                else:
-                    defect = _expectation(_record_matrix(a), _record_matrix(b))
+                defect = _orthogonality_defect(records[i], records[j], amplitudes[i], amplitudes[j])
                 message = "record states {} and {} not orthogonal: defect {!r}"
                 _require(defect <= RECORD_ORTHOGONALITY_TOL, message, i, j, defect)
 

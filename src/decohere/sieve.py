@@ -2,7 +2,10 @@
 
 States are evolved in the pointer frame X = W^H rho W of the channel, where
 dephasing only damps off-diagonal entries, and candidates are evaluated
-together in blocks of ``BLOCK_SIZE``.  One helper serves a single state
+together in blocks.  A block's pointer-frame trajectory, rows x T x d x d
+over T samples, holds at most ``BLOCK_ENTRIES`` entries, so a block has
+max(1, BLOCK_ENTRIES // (T d^2)) rows: 32 qubits at 501 samples, and a
+single qubit on grids longer than 8192 samples.  One helper serves a single state
 (``evolve_entropy``) and a block of candidates (``sieve_rank``).
 
 With no self-Hamiltonian the channel semigroup is evaluated in closed form
@@ -11,8 +14,9 @@ sum_i |x_ii|^2 + exp(-2t/t_d) sum_{i!=j} |x_ij|^2, one outer product of
 per-candidate sums with the sample times.  A qubit's trajectory, and so its
 report, is then a function of three numbers of its pointer frame: the
 populations p0 and p1 and the coherence sum_{i!=j} |x_ij|^2.  Bloch grids
-repeat these exactly, so ``sieve_rank`` groups candidates whose three values
-are equal byte for byte and evolves each distinct triple once.
+repeat these exactly, so ``sieve_rank`` reads the three values of every
+candidate in one call, groups candidates whose values are equal byte for
+byte and evolves each distinct triple once.
 
 With a self-Hamiltonian H, evolution uses first-order operator splitting
 per grid interval: the exact unitary V = exp(-iH' dt) of H' = W^H H W, H in
@@ -79,10 +83,11 @@ from .states import (
 DEGENERATE_GAP = 1e-9
 ENTROPY_CAP_THRESHOLD = 0.5
 PURITY_CAP_THRESHOLD = 1e-3
-# Candidates evolved together by sieve_rank.  A fixed block keeps the
-# working set of (B, T) arrays, and so the peak memory, independent of the
-# number of candidates.
-BLOCK_SIZE = 16
+# Entries of a block's pointer-frame trajectory (rows x T x d x d) in
+# sieve_rank.  Sizing blocks by samples keeps the working set of (rows, T)
+# arrays, and so the peak memory, independent of the number of candidates
+# and of the grid's length.
+BLOCK_ENTRIES = 1 << 16
 # Split-step prefix products held at once, in complex entries (4 MB).
 _PREFIX_ENTRIES = 1 << 18
 
@@ -258,8 +263,12 @@ def _split_step(
     one interval per (B, d^2) @ (d^2, d^2) product, written straight into
     the state record, and the purities are read from the record at the end.
     Chunks would not pay there: their prefix products cost d^6 multiplies
-    per interval, at least the B d^4 of the step itself as B <= BLOCK_SIZE
-    = 16 <= d^2, and would hold about one d^2 x d^2 map per interval.
+    per interval and would hold about one d^2 x d^2 map per interval.  The
+    step itself costs B d^4, and a block of T samples has
+    B <= BLOCK_ENTRIES / (T d^2) rows, so B <= d^2 once
+    T >= BLOCK_ENTRIES / d^4 (256 samples at d = 4, 16 at d = 8).  On a
+    shorter grid B can exceed d^2, but the loop then runs fewer than
+    BLOCK_ENTRIES / d^4 intervals.
 
     A qubit's spectrum needs only its purity, so its states are not kept:
     that record would be the largest allocation of the sieve.  The n
@@ -542,14 +551,16 @@ def sieve_rank(
     horizon is compared to 30 significant bits (about 9 digits) and the
     entropy (0 to n bits) to 9 decimals, so exact ties that rounding split
     keep their input order; a pair straddling a rounding boundary still
-    orders by value.  Candidates are evolved in blocks of ``BLOCK_SIZE``.
+    orders by value.  Candidates are evolved in blocks whose trajectory
+    holds at most ``BLOCK_ENTRIES`` pointer-frame entries.
 
     In the qubit closed form a report depends only on the candidate's
-    (p0, p1, coherence) in the pointer frame.  Those are read for every
-    candidate, and each distinct triple (equal bytes) is evolved once and
-    its values given to every candidate that holds it.  The split step and
-    larger registers evolve every candidate.  Reports are built once, in
-    rank order.
+    (p0, p1, coherence) in the pointer frame.  Those are read for all
+    candidates in one call (up to BLOCK_ENTRIES // d^2 = 16384 per call),
+    and each distinct triple (equal bytes) is evolved once and its values
+    given to every candidate that holds it.  The split step and larger
+    registers evolve every candidate.  Reports are built once, in rank
+    order.
     """
     if not candidates:
         raise ValueError("need at least one candidate state")
@@ -562,24 +573,27 @@ def sieve_rank(
     times = dynamics.recorded_times()
     half = np.diff(times) / 2
     channel = dynamics.channel
+    dd = channel.dim * channel.dim
     floor = 1.0 / channel.dim
+    block_rows = max(1, BLOCK_ENTRIES // (times.size * dd))
     # The row of each candidate's values, and the candidate each row evolves.
     group = rows = np.arange(count)
     stats = None
     if channel.dim == 2 and dynamics.self_hamiltonian is None:
         # (p0, p1, coherence) per candidate; each distinct triple, by its bytes, is evolved once.
         stats = np.empty((count, 3))
-        for start in range(0, count, BLOCK_SIZE):
-            frames = _pointer_frames(candidates[start : start + BLOCK_SIZE], channel)
-            block = stats[start : start + BLOCK_SIZE]
+        call = BLOCK_ENTRIES // dd
+        for start in range(0, count, call):
+            frames = _pointer_frames(candidates[start : start + call], channel)
+            block = stats[start : start + call]
             block[:, :2], block[:, 2] = _frame_statistics(frames)
         keys = stats.view(np.dtype((np.void, stats.itemsize * 3))).ravel()
         _, rows, group = np.unique(keys, return_index=True, return_inverse=True)
         decay = np.exp(-2.0 * times / channel.t_d)
     t_p, tprime_p, final = np.empty(rows.size), np.empty(rows.size), np.empty(rows.size)
     t_p_capped, tprime_capped = np.empty(rows.size, dtype=bool), np.empty(rows.size, dtype=bool)
-    for start in range(0, rows.size, BLOCK_SIZE):
-        block = slice(start, start + BLOCK_SIZE)
+    for start in range(0, rows.size, block_rows):
+        block = slice(start, start + block_rows)
         if stats is None:
             frames = _pointer_frames(candidates[block], channel)
             purities, entropies, equilibrium = _evolve_block(frames, dynamics, times)
@@ -590,6 +604,7 @@ def sieve_rank(
         t_p[block], t_p_capped[block] = _entropy_horizons(times, half, entropies, equilibrium)
         tprime_p[block], tprime_capped[block] = _purity_horizons(half, purities, floor)
         final[block] = entropies[:, -1]
+        del purities, entropies  # before the next block forms its own
     mantissa, exponent = np.frexp(tprime_p)
     horizon_keys = np.ldexp(np.round(mantissa * 2**30), exponent - 30)
     order = np.lexsort((np.arange(count), np.round(final, 9)[group], -horizon_keys[group]))

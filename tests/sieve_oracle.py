@@ -23,6 +23,9 @@ candidates were grouped by their closed-form statistics: every candidate
 is evolved through ``_evolve_block``, one report is built per candidate
 block by block, and the reports are then ordered.  The grouped sieve must
 keep its reports, and their order, bit for bit.
+
+Both block references evaluate ``BLOCK`` candidates at a time, the fixed
+block the sieve used before its blocks were sized by samples.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import numpy as np
 
 from decohere.dephasing import _in_pointer_frame
 from decohere.sieve import (
-    BLOCK_SIZE,
     DEGENERATE_GAP,
     ENTROPY_CAP_THRESHOLD,
     PURITY_CAP_THRESHOLD,
@@ -56,6 +58,8 @@ from decohere.states import (
     _entropies_from_spectra,
     _require,
 )
+
+BLOCK = 16
 
 
 def _entropy_bits(eigenvalues: np.ndarray) -> float:
@@ -351,8 +355,8 @@ def block_sieve_rank(
     times = dynamics.recorded_times()
     floor = 1.0 / dynamics.channel.dim
     reports: list[SieveReport] = []
-    for start in range(0, count, BLOCK_SIZE):
-        frames = _pointer_frames(candidates[start : start + BLOCK_SIZE], dynamics.channel)
+    for start in range(0, count, BLOCK):
+        frames = _pointer_frames(candidates[start : start + BLOCK], dynamics.channel)
         purities, entropies, equilibrium = block_evolve(frames, dynamics, times)
         t_p, t_p_capped = _block_entropy_horizons(times, entropies, equilibrium)
         t_pp, t_pp_capped = _block_purity_horizons(times, purities, floor)
@@ -387,8 +391,8 @@ def ungrouped_sieve_rank(
     half = np.diff(times) / 2
     floor = 1.0 / dynamics.channel.dim
     reports: list[SieveReport] = []
-    for start in range(0, count, BLOCK_SIZE):
-        frames = _pointer_frames(candidates[start : start + BLOCK_SIZE], dynamics.channel)
+    for start in range(0, count, BLOCK):
+        frames = _pointer_frames(candidates[start : start + BLOCK], dynamics.channel)
         purities, entropies, equilibrium = _evolve_block(frames, dynamics, times)
         t_p, t_p_capped = _entropy_horizons(times, half, entropies, equilibrium)
         t_pp, t_pp_capped = _purity_horizons(half, purities, floor)

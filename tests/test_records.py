@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import trace_oracle
 
-from decohere import records
+from decohere import records, states
 from decohere.dephasing import DephasingChannel, decohered_limit, dephase
 from decohere.probability import ProbabilityVector
 from decohere.records import (
@@ -631,3 +631,64 @@ def test_integral_cell_counts_pass_as_ints():
     assert record_consensus(model, 3.0, "conjugate") == record_consensus(model, 3, "conjugate")
     assert branch_count(model, "conjugate", np.int64(3)) == 8
     assert redundant_records(model, 2.0).num_qubits == 3
+
+
+def _record_kinds(n: int) -> dict:
+    """Records of every kind: pure, rank-one from ``to_density_matrix``, rank-one held as a matrix, mixed."""
+    def pure():
+        amps = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
+        return PureState(amps / np.linalg.norm(amps), n)
+
+    a, b = pure(), pure()
+    mixed = 0.3 * a.to_density_matrix().elements + 0.7 * b.to_density_matrix().elements
+    held = DensityMatrix(np.outer(a.amplitudes, a.amplitudes.conj()), n)
+    return {
+        "pure": pure(),
+        "rank-one": pure().to_density_matrix(),
+        "held": held,
+        "mixed": DensityMatrix(mixed, n),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_orthogonality_defect_matches_the_trace_product(n):
+    """|<a|b>| for two PureStates; Tr(rho_a rho_b) as soon as either is a density matrix."""
+    kinds = _record_kinds(n)
+    basis = (PureState.basis(n, 0), PureState.basis(n, 2**n - 1))
+    pairs = [(x, y) for x in kinds.values() for y in kinds.values()]
+    pairs += [basis, (basis[0].to_density_matrix(), basis[1]), (basis[0], basis[1].to_density_matrix())]
+    for a, b in pairs:
+        got = records._orthogonality_defect(
+            a, b, states._pure_amplitudes(a), states._pure_amplitudes(b)
+        )
+        if isinstance(a, PureState) and isinstance(b, PureState):
+            want = abs(a.overlap(b))
+        else:
+            want = states._expectation(records._record_matrix(a), records._record_matrix(b))
+        assert type(got) is float
+        assert abs(got - want) <= 1e-12
+
+
+def test_memory_model_reads_rank_one_records_from_their_amplitudes():
+    recs = tuple(PureState.basis(6, i).to_density_matrix() for i in range(64))
+    model = MemoryModel(ProbabilityVector(np.full(64, 1.0 / 64)), (PureState.basis(1, 0),) * 64, recs)
+    assert model.outcome_count == 64
+    assert not any("elements" in r.__dict__ for r in recs)
+
+
+@pytest.mark.parametrize("kind", ["pure", "rank-one", "mixed"])
+def test_memory_model_refuses_the_first_overlapping_pair(kind):
+    """Pairs are checked in order; the first one over 1e-10 is named, with its defect."""
+    n = 2
+    basis = [PureState.basis(n, i) for i in range(4)]
+    leak = PureState.from_amplitudes([0.0, 1e-3, math.sqrt(1.0 - 1e-6), 0.0])
+    recs = [basis[0], basis[1], leak, basis[3]]
+    if kind == "rank-one":
+        recs = [r.to_density_matrix() for r in recs]
+    elif kind == "mixed":
+        recs = [DensityMatrix(r.to_density_matrix().elements, n) for r in recs]
+    want = abs(leak.amplitudes[1]) if kind == "pure" else abs(leak.amplitudes[1]) ** 2
+    with pytest.raises(ValueError, match=r"record states 1 and 2 not orthogonal: defect ") as err:
+        MemoryModel(ProbabilityVector(np.full(4, 0.25)), (PureState.basis(1, 0),) * 4, tuple(recs))
+    defect = float(str(err.value).rsplit(" ", 1)[1])
+    assert abs(defect - want) <= 1e-12

@@ -11,6 +11,11 @@ horizons must be ``tobytes()``-equal.
 did before qubit closed-form candidates were grouped by their statistics
 (p0, p1, coherence).  The grouped sieve must give the same reports in the
 same order, bit for bit.
+
+Both references evaluate 16 candidates per block, as the sieve did before
+its blocks were sized by samples (``BLOCK_ENTRIES`` pointer-frame entries
+per block trajectory), so every comparison also checks that the block
+size moves no bit.
 """
 
 import math
@@ -23,7 +28,7 @@ import sieve_oracle
 from decohere import sieve
 from decohere.dephasing import DephasingChannel
 from decohere.sieve import (
-    BLOCK_SIZE,
+    BLOCK_ENTRIES,
     DynamicsSpec,
     EntropyTrajectory,
     bloch_grid,
@@ -43,6 +48,13 @@ KINDS = ("computational", "hadamard", "dense")
 GRIDS = {"cap at grid": 10.0, "cap past grid": 12.03}
 REPORT_FLOATS = ("t_p", "tprime_p", "final_entropy")
 REPORT_FIELDS = ("label", "t_p_capped", "tprime_capped", "theta", "phi")
+# Qubit rows per block at the 501 samples of uniform_grid(50.0, 500).
+QUBIT_ROWS = 32
+
+
+def _block_rows(dynamics: DynamicsSpec) -> int:
+    """Rows per sieve block: its pointer-frame trajectory holds at most BLOCK_ENTRIES entries."""
+    return max(1, BLOCK_ENTRIES // (dynamics.recorded_times().size * dynamics.channel.dim**2))
 
 
 def _random_unitary(d: int) -> np.ndarray:
@@ -67,17 +79,23 @@ def _dynamics(kind: str, num_qubits: int, split: bool, cap: float) -> DynamicsSp
     return DynamicsSpec(channel, uniform_grid(10.0, 200), cap, self_hamiltonian=ham)
 
 
+def _random_states(count: int, num_qubits: int) -> list[PureState]:
+    amps = RNG.normal(size=(count, 2**num_qubits)) + 1j * RNG.normal(size=(count, 2**num_qubits))
+    return [PureState(a / np.linalg.norm(a), num_qubits) for a in amps]
+
+
 def _candidates(num_qubits: int, channel: DephasingChannel):
-    """Qubits: a Bloch grid with both poles.  Two qubits: the pointer states and random states."""
+    """Qubits: a Bloch grid with both poles.  Two qubits: the pointer states and random states.
+
+    Two-qubit blocks hold 16 to 20 rows on ``GRIDS``, so 43 candidates end
+    on a short block.
+    """
     if num_qubits == 1:
         angles = bloch_grid(6, 8)
         return [bloch_state(t, p) for t, p in angles], angles
     pointers = [PureState(channel.basis[:, k], 2) for k in range(4)]
-    states = []
-    for _ in range(BLOCK_SIZE + 3):
-        amps = RNG.normal(size=4) + 1j * RNG.normal(size=4)
-        states.append(PureState(amps / np.linalg.norm(amps), 2))
-    return pointers + [PureState.basis(2, k) for k in range(4)] + states, None
+    basis = [PureState.basis(2, k) for k in range(4)]
+    return pointers + basis + _random_states(35, 2), None
 
 
 def _bits(values) -> bytes:
@@ -106,7 +124,7 @@ def _assert_same_horizons(traj: EntropyTrajectory) -> None:
 def test_sieve_rank_keeps_block_bits(kind, num_qubits, split, grid):
     dynamics = _dynamics(kind, num_qubits, split, GRIDS[grid])
     candidates, angles = _candidates(num_qubits, dynamics.channel)
-    assert len(candidates) % BLOCK_SIZE  # a short last block
+    assert len(candidates) % _block_rows(dynamics)  # a short last block
     got = sieve_rank(candidates, dynamics, angles=angles)
     want = sieve_oracle.block_sieve_rank(candidates, dynamics, angles=angles)
     for name in REPORT_FLOATS:
@@ -163,8 +181,7 @@ def test_grouped_sieve_keeps_bits_on_the_default_grid(kind):
 
 def test_grouped_sieve_keeps_bits_on_random_states():
     """Random qubits share no statistics: every group holds one candidate."""
-    amps = RNG.normal(size=(3 * BLOCK_SIZE + 5, 2)) + 1j * RNG.normal(size=(3 * BLOCK_SIZE + 5, 2))
-    candidates = [PureState(a / np.linalg.norm(a), 1) for a in amps]
+    candidates = _random_states(3 * QUBIT_ROWS + 5, 1)
     for kind in KINDS:
         _assert_matches_both_references(candidates, _closed_qubit_dynamics(_channel(kind, 1, 0.8)))
 
@@ -198,7 +215,7 @@ def _spy_rows(monkeypatch) -> list[int]:
     return rows
 
 
-@pytest.mark.parametrize("copies", [1, 2, BLOCK_SIZE + 1, 3 * BLOCK_SIZE])
+@pytest.mark.parametrize("copies", [1, 2, 17, 48, QUBIT_ROWS + 1, 3 * QUBIT_ROWS])
 def test_copies_of_one_candidate_evolve_one_row(monkeypatch, copies):
     rows = _spy_rows(monkeypatch)
     dynamics = _closed_qubit_dynamics(DephasingChannel.hadamard(1, 1.0))
@@ -216,6 +233,94 @@ def test_statistics_group_by_their_bytes(monkeypatch):
     reports = sieve_rank([bloch_state(0.0, 0.0)] * 4, dynamics)
     assert rows == [2]
     assert [r.label for r in reports] == [f"candidate-{i}" for i in range(4)]
+
+
+@pytest.mark.parametrize("distinct", [1, QUBIT_ROWS - 1, QUBIT_ROWS, QUBIT_ROWS + 1, 2 * QUBIT_ROWS + 1])
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocks_of_distinct_rows_keep_bits(monkeypatch, kind, distinct):
+    """Distinct closed-form rows fill blocks of 32 at 501 samples; the last one may be short."""
+    rows = _spy_rows(monkeypatch)
+    states = _random_states(distinct, 1)
+    # Every state twice, the copies in reverse order: as many groups as states.
+    candidates = states + states[::-1]
+    labels = [f"c{i}" for i in range(len(candidates))]
+    dynamics = _closed_qubit_dynamics(_channel(kind, 1, 0.9))
+    sieve_rank(candidates, dynamics, labels=labels)
+    full, short = divmod(distinct, QUBIT_ROWS)
+    assert rows == [QUBIT_ROWS] * full + ([short] if short else [])
+    monkeypatch.undo()
+    _assert_matches_both_references(candidates, dynamics, labels=labels)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_split_step_blocks_keep_bits(kind):
+    """40 qubits with a self-Hamiltonian at 501 samples: a block of 32 and one of 8."""
+    channel = _channel(kind, 1, 1.1)
+    dynamics = DynamicsSpec(channel, uniform_grid(50.0, 500), 50.0, self_hamiltonian=_random_hermitian(2))
+    assert _block_rows(dynamics) == QUBIT_ROWS
+    _assert_matches_both_references(_random_states(40, 1), dynamics)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["closed", "split"])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("num_qubits", [2, 3])
+def test_larger_register_blocks_keep_bits(num_qubits, kind, split):
+    """d = 4 and 8 at 201 samples: blocks of 20 and 5 rows, the last one short."""
+    dynamics = _dynamics(kind, num_qubits, split, 10.0)
+    d = 2**num_qubits
+    pointers = [PureState(dynamics.channel.basis[:, k], num_qubits) for k in range(d)]
+    candidates = pointers + _random_states(23 - d, num_qubits)
+    assert _block_rows(dynamics) == {2: 20, 3: 5}[num_qubits]
+    assert len(candidates) % _block_rows(dynamics)
+    _assert_matches_both_references(candidates, dynamics)
+
+
+def _long_grid(kind: str):
+    """A 4 x 4 Bloch grid (20 candidates) at 100001 samples: one qubit row per block."""
+    angles = bloch_grid(4, 4)
+    candidates = [bloch_state(t, p) for t, p in angles]
+    dynamics = DynamicsSpec(_channel(kind, 1, 1.0), uniform_grid(50.0, 100_000), 50.0)
+    assert _block_rows(dynamics) == 1
+    return candidates, angles, dynamics
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_long_grid_blocks_of_one_row_keep_bits(monkeypatch, kind):
+    rows = _spy_rows(monkeypatch)
+    candidates, angles, dynamics = _long_grid(kind)
+    sieve_rank(candidates, dynamics, angles=angles)
+    assert rows and set(rows) == {1}
+    monkeypatch.undo()
+    _assert_matches_both_references(candidates, dynamics, angles=angles)
+
+
+def test_one_statistics_call_per_request(monkeypatch):
+    """The CLI's 36 x 36 grid reads every candidate's statistics in one call."""
+    calls = []
+    frame_statistics = sieve._frame_statistics
+
+    def spy(frames):
+        calls.append(len(frames))
+        return frame_statistics(frames)
+
+    monkeypatch.setattr(sieve, "_frame_statistics", spy)
+    candidates = [bloch_state(t, p) for t, p in bloch_grid(36, 36)]
+    sieve_rank(candidates, _closed_qubit_dynamics(DephasingChannel.hadamard(1, 1.0)))
+    assert calls == [len(candidates)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_statistics_call_keeps_the_bits_of_16_candidate_blocks(kind):
+    """1332 candidates in one call, as 16-candidate slices did: the Walsh-Hadamard rows too."""
+    candidates = [bloch_state(t, p) for t, p in bloch_grid(36, 36)]
+    channel = _channel(kind, 1, 1.0)
+    populations, coherence = sieve._frame_statistics(sieve._pointer_frames(candidates, channel))
+    blocks = [
+        sieve._frame_statistics(sieve._pointer_frames(candidates[start : start + 16], channel))
+        for start in range(0, len(candidates), 16)
+    ]
+    assert populations.tobytes() == np.concatenate([b[0] for b in blocks]).tobytes()
+    assert coherence.tobytes() == np.concatenate([b[1] for b in blocks]).tobytes()
 
 
 @pytest.mark.parametrize("grid", sorted(GRIDS))
@@ -310,16 +415,31 @@ def _peak_above_result(fn):
 
 @pytest.mark.parametrize("kind", ["computational", "hadamard"])
 def test_closed_form_grid_peak(kind):
-    """36 x 36 closed form, 501 samples: the reports plus at most seven (BLOCK_SIZE, T) arrays.
-
-    The block code before this read 8.2 such arrays (0.90 MB in all, the
-    reports 0.38 MB of it); the present one reads 6.2 (0.78 MB).
-    """
+    """36 x 36 closed form, 501 samples: the reports plus at most seven (32, T) arrays."""
     angles = bloch_grid(36, 36)
     candidates = [bloch_state(t, p) for t, p in angles]
     dynamics = DynamicsSpec(getattr(DephasingChannel, kind)(1, 1.0), uniform_grid(50.0, 500), 50.0)
-    block_bytes = BLOCK_SIZE * dynamics.recorded_times().size * 8
+    assert _block_rows(dynamics) == QUBIT_ROWS
+    block_bytes = QUBIT_ROWS * dynamics.recorded_times().size * 8
     reports, transient, kept = _peak_above_result(lambda: sieve_rank(candidates, dynamics, angles=angles))
     assert len(reports) == len(candidates)
     assert transient <= 7 * block_bytes
     assert kept < 1_000_000
+
+
+@pytest.mark.parametrize("kind", ["computational", "hadamard"])
+def test_long_grid_peak(kind):
+    """20 candidates at 100001 samples: at most seven (1, T) float arrays and the cut mask.
+
+    Blocks of one row keep the peak independent of the grid's length.  The
+    (1, T) arrays are the request's times, halved intervals and decay, and
+    the block's purities and three entropy buffers; the qubit entropies also
+    hold one (1, T) bool mask of the eigenvalues above the cutoff.  The
+    statistics and per-candidate columns are a few bytes per candidate,
+    allowed for as 16 KB.
+    """
+    candidates, angles, dynamics = _long_grid(kind)
+    samples = dynamics.recorded_times().size
+    reports, transient, _ = _peak_above_result(lambda: sieve_rank(candidates, dynamics, angles=angles))
+    assert len(reports) == len(candidates)
+    assert transient <= 7 * samples * 8 + samples + 16 * 1024

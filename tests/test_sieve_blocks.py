@@ -15,7 +15,7 @@ import sieve_oracle
 from decohere import sieve
 from decohere.dephasing import DephasingChannel
 from decohere.sieve import (
-    BLOCK_SIZE,
+    BLOCK_ENTRIES,
     DynamicsSpec,
     bloch_grid,
     bloch_state,
@@ -63,6 +63,11 @@ def _two_qubit_states(rng, count: int) -> list[PureState]:
     return states + [PureState.basis(2, 0), PureState.basis(2, 3)]
 
 
+def _block_rows(dynamics: DynamicsSpec) -> int:
+    """Rows per sieve block: its pointer-frame trajectory holds at most BLOCK_ENTRIES entries."""
+    return max(1, BLOCK_ENTRIES // (dynamics.recorded_times().size * dynamics.channel.dim**2))
+
+
 def _close(new, old, tol: float) -> bool:
     new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
     return bool(np.all(np.abs(new - old) <= tol * np.maximum(1.0, np.abs(old))))
@@ -74,8 +79,9 @@ def _assert_matches_oracle(candidates, dynamics, tol, angles=None):
     times = dynamics.recorded_times()
     window = float(times[-1])
     oracle_trajs = [sieve_oracle.evolve_entropy(c, dynamics) for c in candidates]
-    for start in range(0, len(candidates), BLOCK_SIZE):
-        block = candidates[start : start + BLOCK_SIZE]
+    rows = _block_rows(dynamics)
+    for start in range(0, len(candidates), rows):
+        block = candidates[start : start + rows]
         frames = sieve._pointer_frames(block, dynamics.channel)
         purities, entropies, equilibrium = sieve._evolve_block(frames, dynamics, times)
         for k, traj in enumerate(oracle_trajs[start : start + len(block)]):
@@ -125,9 +131,9 @@ def _assert_matches_oracle(candidates, dynamics, tol, angles=None):
 def test_closed_form_qubit_grid_matches_oracle(kind, theta_steps, phi_steps):
     rng = np.random.default_rng(7)
     candidates, angles = _qubit_grid(theta_steps, phi_steps)
-    assert len(candidates) % BLOCK_SIZE != 0
     channel = _channel(kind, 1, 1.0, rng)
     dynamics = DynamicsSpec(channel, uniform_grid(50.0, 500), 50.0)
+    assert len(candidates) % _block_rows(dynamics) != 0
     _assert_matches_oracle(candidates, dynamics, CLOSED_TOL, angles=angles)
 
 
