@@ -14,7 +14,12 @@ the candidates of a layer in one transform, and the search stops once the
 lightest match weighs less than the next layer, since popcount(x | z) >=
 popcount(x).  Among matches of the least weight, the first in the order
 (qubit tuple, then X < Y < Z labels) wins.  The search is capped at 8
-environment qubits (4^8 assignments).
+environment qubits (4^8 assignments).  One search serves many ordered
+pairs of equal-width records at once: the magnitudes of each record are
+transformed once, the correlations of all pairs in one transform, and each
+layer's candidates of every pair still open in one transform, each pair
+stopping on its own.  ``minimal_flip_sequence`` runs it on one pair and
+``verify_metric_axioms`` on every ordered pair of its records.
 
 Decoding robustness treats "k errors" as k complete decohering events:
 each afflicted qubit suffers the relevant Pauli with probability 1/2
@@ -54,6 +59,10 @@ from .states import (
 MAX_SEARCH_QUBITS = 8
 NULL_WEIGHT = 1e-12
 MATCH_TOL = 1e-9
+# Entries per complex transform of the flip search: 128 rows at 8 qubits, so the
+# largest layer of one pair (C(8, 4) = 70 rows) is one transform, and a layer of
+# many pairs runs in blocks that stay in cache.
+_SEARCH_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,6 +203,70 @@ def _flip_labels(x_mask: int, z_mask: int, n: int) -> tuple[str, ...]:
     )
 
 
+def _check_pair(a: EnvironmentRecord, b: EnvironmentRecord) -> None:
+    """Refuse a pair the flip search cannot take, in the order null, width, cap."""
+    if a.is_null or b.is_null:
+        raise ValueError("null records have no flip distance")
+    if a.num_qubits != b.num_qubits:
+        raise ValueError("records must live on equally sized environments")
+    if a.num_qubits > MAX_SEARCH_QUBITS:
+        raise ValueError(f"flip search capped at {MAX_SEARCH_QUBITS} qubits, got {a.num_qubits}")
+
+
+def _flip_searches(amplitudes: np.ndarray, left: np.ndarray, right: np.ndarray) -> list:
+    """The flip search from row ``left[p]`` onto row ``right[p]`` of ``amplitudes``, every pair p.
+
+    The rows are checked records of one width.  The pairs share their
+    transforms: one of the rows' magnitudes, one of the pairs' magnitude
+    products (c of every pair), then one per popcount layer over the
+    candidate X masks of every pair still open, in blocks of at most
+    ``_SEARCH_BLOCK_ENTRIES`` entries.  A pair closes once its lightest
+    match weighs less than the layer.  Entry p of the result is None, or
+    the winner's ((weight, qubit tuple, Pauli labels), per-qubit labels).
+    """
+    count, d = len(left), amplitudes.shape[1]
+    n = d.bit_length() - 1
+    indices = np.arange(d, dtype=np.intp)
+    magnitudes = _walsh_hadamard(np.abs(amplitudes))
+    # d c[x] for every pair; scaling the threshold by d = 2^n is exact.
+    correlation = _walsh_hadamard(magnitudes.take(left, 0) * magnitudes.take(right, 0))
+    # Candidate X mask x of pair p, at flat position f = p d + x; entry j of its
+    # row, conj(b[j ^ x]) a[j], reads the pair's conj(b) row at f ^ j.
+    found = np.flatnonzero(correlation >= (1.0 - 2 * MATCH_TOL) * d)
+    best = [None] * count  # per pair: ((weight, qubit tuple, Pauli labels), per-qubit labels)
+    if not found.size:
+        return best
+    top = [n + 1] * count  # per pair: the weight of its best match, n + 1 while it has none
+    layer_of = np.bitwise_count(found & (d - 1))
+    a_rows, b_conj = amplitudes.take(left, 0), amplitudes.take(right, 0).conj().reshape(-1)
+    layers, block_rows = sorted(set(layer_of.tolist())), _SEARCH_BLOCK_ENTRIES // d
+    for layer in layers:
+        if max(top) < layer:
+            break
+        at = found if len(layers) == 1 else found[layer_of == layer]
+        if min(top) < layer:
+            at = at[np.array(top)[at >> n] >= layer]
+            if not at.size:
+                continue
+        hits = []
+        for start in range(0, at.size, block_rows):
+            block = at[start : start + block_rows]
+            rows = b_conj[block[:, None] ^ indices] * a_rows.take(block >> n, 0)
+            hit_rows, z_masks = np.nonzero(np.abs(_walsh_hadamard(rows)) >= 1.0 - MATCH_TOL)
+            hits += zip(block[hit_rows].tolist(), z_masks.tolist())
+        # Lightest first, so a pair skips every hit heavier than its best.
+        for weight, f, z in sorted(((f & (d - 1) | z).bit_count(), f, z) for f, z in hits):
+            p = f >> n
+            if weight > top[p]:
+                continue
+            labels = _flip_labels(f & (d - 1), z, n)
+            qubits = tuple(q for q, lab in enumerate(labels) if lab != "I")
+            key = (weight, qubits, tuple(labels[q] for q in qubits))
+            if best[p] is None or key < best[p][0]:
+                best[p], top[p] = (key, labels), weight
+    return best
+
+
 def minimal_flip_sequence(
     a: EnvironmentRecord, b: EnvironmentRecord
 ) -> Optional[FlipSequence]:
@@ -209,42 +282,15 @@ def minimal_flip_sequence(
     Walsh-Hadamard transform per layer that holds any, which gives the
     overlap of every Z mask.  A match weighs popcount(x | z) >= popcount(x),
     so the search stops before layer k once the lightest match found weighs
-    less than k.
+    less than k.  This is the shared search of ``verify_metric_axioms`` run
+    on the single pair (a, b): two real transforms (2 rows, then 1) and one
+    complex transform per visited layer.
 
     Ties go to the first assignment in (weight, qubit tuple, X < Y < Z
     labels) order.  Returns None when no assignment matches.
     """
-    if a.is_null or b.is_null:
-        raise ValueError("null records have no flip distance")
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("records must live on equally sized environments")
-    n = a.num_qubits
-    if n > MAX_SEARCH_QUBITS:
-        raise ValueError(f"flip search capped at {MAX_SEARCH_QUBITS} qubits, got {n}")
-
-    indices = np.arange(2**n, dtype=np.intp)
-    magnitudes = _walsh_hadamard(np.abs([a.amplitudes, b.amplitudes]))
-    correlation = _walsh_hadamard(magnitudes[:1] * magnitudes[1:])[0] / 2**n  # c[x]
-    candidates = indices[correlation >= 1.0 - 2 * MATCH_TOL]
-    layer_of = np.bitwise_count(candidates)
-    b_conj = b.amplitudes.conj()
-    best = None  # ((weight, qubit tuple, Pauli labels), per-qubit labels)
-    for layer in np.flatnonzero(np.bincount(layer_of)).tolist():
-        if best is not None and best[0][0] < layer:
-            break
-        x_masks = candidates[layer_of == layer]
-        spectrum = _walsh_hadamard(b_conj[indices ^ x_masks[:, None]] * a.amplitudes)
-        rows, z_masks = np.nonzero(np.abs(spectrum) >= 1.0 - MATCH_TOL)
-        if rows.size:
-            hit_x = x_masks[rows]
-            weights = np.bitwise_count(hit_x | z_masks)
-            lightest = weights == weights.min()
-            for x, z in zip(hit_x[lightest].tolist(), z_masks[lightest].tolist()):
-                labels = _flip_labels(x, z, n)
-                qubits = tuple(q for q, p in enumerate(labels) if p != "I")
-                key = (len(qubits), qubits, tuple(labels[q] for q in qubits))
-                if best is None or key < best[0]:
-                    best = (key, labels)
+    _check_pair(a, b)
+    best = _flip_searches(np.array([a.amplitudes, b.amplitudes]), np.array([0]), np.array([1]))[0]
     return None if best is None else FlipSequence(best[1])
 
 
@@ -269,30 +315,37 @@ class MetricAxiomReport:
 
 
 def verify_metric_axioms(records: Sequence[EnvironmentRecord]) -> MetricAxiomReport:
-    """Check nonnegativity, symmetry and the triangle inequality over all triples."""
+    """Check nonnegativity, symmetry and the triangle inequality over all triples.
+
+    Both d(i, j) and d(j, i) are searched, each in its own direction, and
+    all m(m - 1) searches run in one shared search: one transform of the m
+    records' magnitudes, one of the m(m - 1) pair products, then one per
+    popcount layer over the candidates of every pair still open, each pair
+    stopping as ``minimal_flip_sequence`` does.
+    """
     if len(records) < 3:
         raise ValueError("need at least three records to exercise the axioms")
     m = len(records)
+    # A pair is refused in either direction alike, so the pairs (i, j), i < j,
+    # in order raise what searching (i, j) and then (j, i) would.
+    for i, j in combinations(range(m), 2):
+        _check_pair(records[i], records[j])
+    left, right = np.nonzero(~np.eye(m, dtype=bool))  # every ordered pair i != j
+    found = _flip_searches(np.array([r.amplitudes for r in records]), left, right)
     dist = np.zeros((m, m), dtype=float)
-    for i in range(m):
-        for j in range(i + 1, m):
-            dist[i, j] = redundancy_distance(records[i], records[j])
-            dist[j, i] = redundancy_distance(records[j], records[i])
+    dist[left, right] = [math.inf if entry is None else float(entry[0][0]) for entry in found]
 
+    d = dist.tolist()
     violations: list[str] = []
     for i in range(m):
         for j in range(m):
-            if dist[i, j] < 0:
-                violations.append(f"negative distance d({i},{j}) = {dist[i, j]}")
-            if dist[i, j] != dist[j, i]:
-                violations.append(
-                    f"asymmetry d({i},{j}) = {dist[i, j]} != d({j},{i}) = {dist[j, i]}"
-                )
+            if d[i][j] < 0:
+                violations.append(f"negative distance d({i},{j}) = {d[i][j]}")
+            if d[i][j] != d[j][i]:
+                violations.append(f"asymmetry d({i},{j}) = {d[i][j]} != d({j},{i}) = {d[j][i]}")
     for i, j, k in product(range(m), repeat=3):
-        if dist[i, j] + dist[j, k] < dist[i, k] - 1e-12:
-            violations.append(
-                f"triangle violation d({i},{j}) + d({j},{k}) < d({i},{k})"
-            )
+        if d[i][j] + d[j][k] < d[i][k] - 1e-12:
+            violations.append(f"triangle violation d({i},{j}) + d({j},{k}) < d({i},{k})")
     return MetricAxiomReport(_readonly(dist, dtype=float), tuple(violations))
 
 

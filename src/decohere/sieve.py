@@ -135,14 +135,19 @@ class DynamicsSpec:
         object.__setattr__(self, "self_hamiltonian", ham)
 
     def recorded_times(self) -> np.ndarray:
-        """Grid extended at its final spacing until the horizon cap."""
+        """Grid extended at its final spacing until the horizon cap, read-only.
+
+        When the cap ends on the grid this is ``time_grid`` itself, not a copy.
+        """
         grid = self.time_grid
         if self.horizon_cap <= grid[-1] + 1e-12:
-            return grid.copy()
+            return grid
         dt = float(grid[-1] - grid[-2])
         extra = np.arange(grid[-1] + dt, self.horizon_cap + dt * 0.5, dt)
         extra = extra[extra < self.horizon_cap - 1e-12]
-        return np.concatenate([grid, extra, [self.horizon_cap]])
+        times = np.concatenate([grid, extra, [self.horizon_cap]])
+        times.setflags(write=False)
+        return times
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,8 @@
 loop.  The factored transform must agree with the butterfly to
 1e-12 x 2^(n/2) (exactly on integer rows) and keep real rows real; the flip
 search must transform only the candidate X masks of each popcount layer it
-visits, in one call per layer; the robustness from marginal weights must
+visits, in one call per layer, and the metric-axiom check must share those
+calls among all its pairs; the robustness from marginal weights must
 agree with the loop to 1e-12, and the robustness read off one split of the
 joint state must equal, bit for bit, the one read off four conditional
 records.
@@ -17,6 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
+import flip_oracle
 import wht_oracle
 from decohere import redundancy
 from decohere.dephasing import DephasingChannel, _walsh_hadamard, decohered_limit
@@ -24,6 +26,12 @@ from decohere.redundancy import EnvironmentRecord, JointState, error_robustness
 from decohere.states import PureState
 
 RNG = np.random.default_rng(12)
+PAULI = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.diag([1.0, -1.0]),
+}
 ROW_COUNTS = (1, 2, 16, 70)
 
 
@@ -103,6 +111,65 @@ def test_flip_search_transforms_each_visited_layer_once(n, monkeypatch):
     assert complex_rows == [math.comb(n, layer) for layer in range(n + 1)]
 
 
+def _counting(module, monkeypatch):
+    """Patch ``module._walsh_hadamard`` to log the row counts of its real and complex calls."""
+    real_rows, complex_rows = [], []
+
+    def counted(rows):
+        (complex_rows if np.iscomplexobj(rows) else real_rows).append(rows.shape[0])
+        return _walsh_hadamard(rows)
+
+    monkeypatch.setattr(module, "_walsh_hadamard", counted)
+    return real_rows, complex_rows
+
+
+@pytest.mark.parametrize("n", range(1, redundancy.MAX_SEARCH_QUBITS + 1))
+def test_axiom_check_shares_its_transforms(n, monkeypatch):
+    """All 12 searches of 4 records: one transform of 4 rows, one of 12, one per visited layer.
+
+    Planted sets whose pairs all differ by X masks of one popcount (Z flips
+    only below 3 qubits; X masks 0, 011, 101 and 110 from 3 qubits on) make
+    a single complex call with one candidate per pair.  Uniform-magnitude
+    sets prune nothing; they transform exactly the rows that the pairwise
+    searches transformed in all, each layer in blocks of at most
+    ``_SEARCH_BLOCK_ENTRIES`` entries (128 rows at 8 qubits).
+    """
+    real_rows, complex_rows = _counting(redundancy, monkeypatch)
+    _, pairwise_rows = _counting(flip_oracle, monkeypatch)
+    masks = (0, 0b011, 0b101, 0b110) if n >= 3 else (0, 0, 0, 0)
+    for _ in range(3):
+        qubits = [RNG.normal(size=2) + 1j * RNG.normal(size=2) for _ in range(n)]
+        records = []
+        for mask in masks:
+            labels = [RNG.choice(["X", "Y"] if mask >> q & 1 else ["I", "Z"]) for q in range(n)]
+            records.append(_product_record([PAULI[p] @ v for p, v in zip(labels, qubits)]))
+        real_rows.clear()
+        complex_rows.clear()
+        assert redundancy.verify_metric_axioms(records).satisfied
+        assert real_rows == [4, 12]
+        assert complex_rows == [12]
+    block = redundancy._SEARCH_BLOCK_ENTRIES // 2**n
+    phases = np.exp(2j * np.pi * RNG.uniform(size=(4, 2**n))) / math.sqrt(2**n)
+    unconnectable = [EnvironmentRecord(p, 1.0, n) for p in phases]
+    qubits = [np.array([1.0, np.exp(2j * np.pi * t)]) for t in RNG.uniform(size=n)]
+    planted = [_product_record([PAULI[p] @ v for p, v in zip(RNG.choice(list("IXYZ"), size=n), qubits)])
+               for _ in range(4)]
+    for records in (planted, unconnectable):
+        real_rows.clear()
+        complex_rows.clear()
+        pairwise_rows.clear()
+        report = redundancy.verify_metric_axioms(records)
+        want = flip_oracle.pairwise_metric_axioms(records)
+        assert report.distances.tobytes() == want.distances.tobytes()
+        assert real_rows == [4, 12]
+        assert max(complex_rows) <= block
+        assert sum(complex_rows) == sum(pairwise_rows)
+    # No pair of random phase records connects, so every layer held every pair's masks.
+    assert report.distances[0, 1] == math.inf
+    layers = [12 * math.comb(n, layer) for layer in range(n + 1)]
+    assert complex_rows == [min(block, rows - start) for rows in layers for start in range(0, rows, block)]
+
+
 def _two_branch_joint(n_env: int, ghz: bool, leak: float = 0.0, system=None) -> JointState:
     """GHZ or unequal-weight records, plus leakage of total norm ``leak`` onto every amplitude.
 
@@ -177,3 +244,22 @@ def test_robustness_batches_keep_the_peak_flat():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**10, (k, peak)
+
+
+def test_axiom_check_keeps_the_peak_flat():
+    """8 uniform-magnitude records of 8 qubits: 56 pairs, none pruned, no pair connects.
+
+    All 56 pairs' masks of one layer in one transform held up to 56 x 70
+    rows of 256 entries (47 MiB); blocks of 128 rows hold about 2 MiB.
+    """
+    phases = np.exp(2j * np.pi * RNG.uniform(size=(8, 256))) / 16.0
+    records = [EnvironmentRecord(p, 1.0, 8) for p in phases]
+    redundancy.verify_metric_axioms(records[:3])  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        report = redundancy.verify_metric_axioms(records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isinf(report.distances[~np.eye(8, dtype=bool)]).all()
+    assert peak < 4 * 2**20, peak
