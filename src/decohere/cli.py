@@ -7,17 +7,20 @@ The config file holds one experiment: its name, a parameter object, and
 optionally a seed, output path and format (command-line flags override the
 file).  Artifacts embed a canonical echo of the scientific config and the
 build identifier; identical config plus seed reproduces identical bytes.
+A CSV artifact is ``#`` comment lines, a header and one line per row, each
+ended by CRLF: floats at 12 significant digits, bools as true/false and a
+missing value empty.  A field is quoted only when it holds a comma, a
+double quote, CR or LF, with each double quote doubled; a line of one
+empty field is written ``""``.
 Every parameter is converted and checked once, before the run, by one
 converter per kind of value.  Exit codes: 0 success, 2 config error (any
-parameter of the wrong type or outside its range), 3 invariant violation
-during a run.
+parameter of the wrong type or outside its range, or an output path that
+cannot be written), 3 invariant violation during a run.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -135,32 +138,29 @@ class ResultArtifact:
             return json.dumps(doc, sort_keys=True, indent=2) + "\n"
         if fmt == "csv":
             _require(self.payload is None, _JSON_ONLY, self.experiment, error=ConfigError)
-            buf = io.StringIO()
-            buf.write(f"# config: {self.config_echo}\r\n")
-            buf.write(f"# build: {BUILD_ID}\r\n")
-            for note in self.comments:
-                buf.write(f"# {note}\r\n")
-            writer = csv.writer(buf, lineterminator="\r\n")
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([_format_cell(row.get(k)) for k in self.columns])
-            return buf.getvalue()
+            notes = "".join(f"# {note}\r\n" for note in self.comments)
+            head = f"# config: {self.config_echo}\r\n# build: {BUILD_ID}\r\n{notes}"
+            return head + _csv_table(self.columns, self.rows)
         raise ConfigError(f"unknown output format {fmt!r}")
 
     def write(self, path: str, fmt: str) -> None:
+        """Write the artifact to ``path`` atomically; an OS refusal is a ``ConfigError``."""
         text = self.rendered(fmt)
         directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        # Created exclusively, so the process umask sets its mode like any new file's.
-        tmp_path = os.path.join(directory, f".decohere-{os.urandom(16).hex()}")
         try:
-            with open(tmp_path, "x", newline="") as handle:
-                handle.write(text)
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+            os.makedirs(directory, exist_ok=True)
+            # Created exclusively, so the process umask sets its mode like any new file's.
+            tmp_path = os.path.join(directory, f".decohere-{os.urandom(16).hex()}")
+            try:
+                with open(tmp_path, "x", newline="") as handle:
+                    handle.write(text)
+                os.replace(tmp_path, path)
+            except BaseException:
+                if os.path.exists(tmp_path):
+                    os.unlink(tmp_path)
+                raise
+        except OSError as exc:
+            raise ConfigError(f"cannot write artifact {path!r}: {exc}") from exc
 
 
 def _format_cell(value) -> str:
@@ -171,6 +171,42 @@ def _format_cell(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"  # "inf", "-inf" and "nan" included
     return str(value)
+
+
+def _quoted(text: str) -> str:
+    """``text`` as one CSV field: in quotes, each ``"`` doubled, iff it holds , " CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_table(columns: list[str], rows: list[dict]) -> str:
+    """The header and one line per row, each ended by CRLF.
+
+    Each column is read and converted once: a column of floats is left to
+    one ``%.12g`` in the row format, a column of bools becomes true/false,
+    and any other is ``_format_cell`` then ``_quoted``.  A line of one empty
+    field is written ``""``, so that it is not blank.
+    """
+    if not columns:
+        return "\r\n" * (len(rows) + 1)
+    empty = '""' if len(columns) == 1 else ""
+    specs, cells = [], []
+    for key in columns:
+        values = [row.get(key) for row in rows]
+        kinds = set(map(type, values))
+        if kinds == {float}:
+            specs.append("%.12g")  # the same text as _format_cell's f"{value:.12g}"
+        else:
+            specs.append("%s")
+            if kinds == {bool}:
+                values = ["true" if value else "false" for value in values]
+            else:
+                values = [_quoted(_format_cell(value)) or empty for value in values]
+        cells.append(values)
+    header = ",".join(_quoted(key) or empty for key in columns) + "\r\n"
+    line = ",".join(specs) + "\r\n"
+    return header + "".join([line % fields for fields in zip(*cells)])
 
 
 # Parameter converters: one per kind of value, every failure a config error.

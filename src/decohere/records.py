@@ -71,9 +71,12 @@ def _orthogonality_defect(a: RecordState, b: RecordState, amps_a, amps_b) -> flo
 class MemoryModel:
     """Outcome probabilities with their system and record states.
 
-    Records may be pure states or (coarse-grained) density matrices; in
-    either case distinct outcomes must occupy orthogonal supports within
-    1e-10 - a memory whose entries cannot be told apart stores nothing.
+    Records may be pure states or (coarse-grained) density matrices, and
+    distinct outcomes must occupy orthogonal supports - a memory whose
+    entries cannot be told apart stores nothing.  Two ``PureState`` records
+    must have |<a|b>| <= 1e-10; any other pair must have Tr(rho sigma) <=
+    1e-10, which for two rank-one records is |<a|b>|^2, so it admits an
+    overlap up to 1e-5.
     """
 
     probabilities: ProbabilityVector

@@ -167,6 +167,21 @@ def test_artifact_write_leaves_the_umask_alone(tmp_path, monkeypatch):
     assert [p.name for p in path.parent.iterdir()] == ["a.csv"]
 
 
+@pytest.mark.parametrize("out", ["taken", "file/x.csv", "file/sub/x.csv"])
+def test_unwritable_out_exits_2(tmp_path, capsys, out):
+    # An existing directory (IsADirectoryError), a path under a regular file (FileExistsError,
+    # NotADirectoryError): one line on stderr, no traceback and no temporary file left.
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "file").write_text("")
+    cfg = write_config(tmp_path, {"experiment": "observer-lists", "params": {"ensemble": 10}})
+    assert main(["--config", cfg, "--seed", "1", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write artifact {str(tmp_path / out)!r}: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.rglob(".decohere-*")) == []
+    assert (tmp_path / "file").read_text() == "" and list((tmp_path / "taken").iterdir()) == []
+
+
 def test_integral_floats_read_as_integers(tmp_path):
     params = {"theta_steps": 4, "phi_steps": 3, "step": 0.5, "cap": 5.0}
     blobs = []
